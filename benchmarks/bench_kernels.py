@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernels against the pure-Python twin.
 
-Covers the two hot paths: maximal-independent-set enumeration on conflict
+Covers the two kernels: maximal-independent-set enumeration on conflict
 graphs (the setup cost of every exact solve) and the greedy scheduling
-rounds (the whole cost of a heuristic solve).  Inputs mirror the
-experiment campaigns: random 6-node networks at edge probability 0.5,
-plus the fully-connected 6-node worst case.
+rounds.  A greedy pipeline (conflict-graph build, rounds, decoding,
+validation, schedule JSON) spends most of its time outside the kernel,
+so these timings compare backends only; speed claims for the package
+come from the end-to-end benchmark in perfbench/.  Inputs mirror the experiment
+campaigns: random 6-node networks at edge probability 0.5, plus the
+fully-connected 6-node worst case.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """

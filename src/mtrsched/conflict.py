@@ -8,6 +8,10 @@ receive on several incoming links at once).
 
 A matching is a set of links that are pairwise conflict-free, i.e. an
 independent set of the conflict graph.
+
+Equivalently, link (i,j) conflicts with exactly the links into i and the
+links out of j, so the conflict graph is built from one incoming and one
+outgoing bitmask per node in time linear in the number of links.
 """
 
 from __future__ import annotations
@@ -50,17 +54,16 @@ class ConflictGraph:
     def __init__(self, network: Network):
         self.network = network
         links = network.links
-        n = len(links)
-        self.n_links = n
-        masks = [0] * n
-        for a in range(n):
-            i, j = links[a]
-            for b in range(a + 1, n):
-                k, l = links[b]
-                if i == l or j == k:
-                    masks[a] |= 1 << b
-                    masks[b] |= 1 << a
-        self.masks: tuple[int, ...] = tuple(masks)
+        self.n_links = len(links)
+        # (i,j) conflicts exactly with the links into i and out of j, so
+        # one pass collects per-node masks and a second ORs two of them.
+        into = [0] * (network.node_count + 1)
+        out = [0] * (network.node_count + 1)
+        for a, (i, j) in enumerate(links):
+            bit = 1 << a
+            out[i] |= bit
+            into[j] |= bit
+        self.masks: tuple[int, ...] = tuple(into[i] | out[j] for i, j in links)
 
     def adjacent(self, a: Link, b: Link) -> bool:
         ia = self.network.link_index(a)

@@ -4,8 +4,8 @@ schedulers against the exact optimum, aggregate penalties and runtimes.
 Every trial draws from its own RNG stream derived from the master seed
 and the trial index (sha256-based, so it is portable and insensitive to
 execution order).  Trials are independent; with jobs > 1 they run in a
-process pool and are re-sorted by index, so reports are identical
-whatever the parallelism.
+process pool of at most min(jobs, trials, CPUs) workers and are re-sorted
+by index, so reports are identical whatever the parallelism.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -235,11 +236,19 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
                        ilp.objective, totals, penalties, runtimes)
 
 
+def _worker_count(jobs: int, trials: int, cpus: int | None) -> int:
+    """Worker processes for a campaign: never more than the trials to run
+    or the CPUs to run them on (``os.cpu_count()``, None if unknown), and
+    at least one."""
+    return max(1, min(jobs, trials, cpus or 1))
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the configured campaign and aggregate the results."""
     _check_config(config)
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = _worker_count(config.jobs, config.trials, os.cpu_count())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_trial, [config] * config.trials,
                                     range(config.trials), chunksize=8))
     else:

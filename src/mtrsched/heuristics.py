@@ -33,13 +33,14 @@ def _greedy(instance: Instance, mode: int) -> Schedule:
         return Schedule()
     cg = build_conflict_graph(network)
     rounds = kernels.greedy_rounds(list(instance.demands), list(cg.masks), mode)
+    all_links = network.links
     entries = []
     for mask, slots in rounds:
         links = []
         while mask:
             b = mask & -mask
             mask ^= b
-            links.append(network.links[b.bit_length() - 1])
+            links.append(all_links[b.bit_length() - 1])
         entries.append(ScheduleEntry(tuple(links), slots))
     return Schedule(tuple(entries))
 

@@ -64,24 +64,39 @@ class Violation:
 
 def validate_schedule(instance: Instance, schedule: Schedule) -> list[Violation]:
     """Every rule violation and under-covered link; empty list means the
-    schedule is valid and covers all demands."""
+    schedule is valid and covers all demands.
+
+    Violations come entry by entry (bad slot count, unknown links, then
+    R3 conflicts in pair order), followed by under-covered links in link
+    order.  An entry's links conflict iff some node both transmits and
+    receives in it, so entries whose transmitter and receiver sets are
+    disjoint skip the pairwise scan.  Coverage counts each entry once per
+    distinct link, as ``Schedule.coverage`` does, in one pass.
+    """
     net = instance.network
+    has_link = net.has_link
     out: list[Violation] = []
+    coverage: dict[Link, int] = {}
     for e_idx, entry in enumerate(schedule.entries):
-        if entry.slots <= 0:
+        slots = entry.slots
+        if slots <= 0:
             out.append(Violation(
                 "bad-slots",
-                f"entry {e_idx} has non-positive slot count {entry.slots}",
+                f"entry {e_idx} has non-positive slot count {slots}",
                 links=entry.links))
         known = []
         for link in entry.links:
-            if not net.has_link(link):
+            if not has_link(link):
                 out.append(Violation(
                     "unknown-link",
                     f"entry {e_idx} uses link {link} absent from the network",
                     links=(link,)))
             else:
                 known.append(link)
+        for link in set(entry.links):
+            coverage[link] = coverage.get(link, 0) + slots
+        if {i for i, _ in known}.isdisjoint([j for _, j in known]):
+            continue
         for x in range(len(known)):
             i, j = known[x]
             for y in range(x + 1, len(known)):
@@ -94,7 +109,7 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> list[Violation]
                         f"node {node} transmit and receive at once (rule R3)",
                         links=(known[x], known[y]), node=node, rule="R3"))
     for link, demand in zip(net.links, instance.demands):
-        covered = schedule.coverage(link)
+        covered = coverage.get(link, 0)
         if covered < demand:
             out.append(Violation(
                 "under-coverage",

@@ -41,7 +41,7 @@ class Schedule:
 def schedule_to_json(schedule: Schedule) -> str:
     doc = {
         "entries": [
-            {"links": [[tx, rx] for tx, rx in e.links], "slots": e.slots}
+            {"links": e.links, "slots": e.slots}  # tuples encode as arrays
             for e in schedule.entries
         ],
         "total": schedule.total_slots,
@@ -50,30 +50,41 @@ def schedule_to_json(schedule: Schedule) -> str:
 
 
 def schedule_from_json(text: str | bytes) -> Schedule:
+    """Parse a schedule document; inverse of schedule_to_json.  Node ids
+    and slot counts must be JSON integers: ``true``/``false`` are refused
+    (``type(v) is int`` excludes bool, as ``model._json_int`` does)."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScheduleFormatError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "entries" not in doc:
-        raise ScheduleFormatError("schedule document must be an object with 'entries'")
+    if type(doc) is not dict or type(doc.get("entries")) is not list:
+        raise ScheduleFormatError("schedule document must be an object with "
+                                  "an 'entries' list")
     entries = []
     for rec in doc["entries"]:
-        if not isinstance(rec, dict) or "links" not in rec or "slots" not in rec:
+        if type(rec) is not dict or "links" not in rec or "slots" not in rec:
             raise ScheduleFormatError(f"entry must have 'links' and 'slots': {rec!r}")
         slots = rec["slots"]
-        if not isinstance(slots, int):
+        if type(slots) is not int:
             raise ScheduleFormatError(f"'slots' must be an integer, got {slots!r}")
+        pairs = rec["links"]
+        if type(pairs) is not list:
+            raise ScheduleFormatError(f"'links' must be a list, got {pairs!r}")
         links = []
-        for pair in rec["links"]:
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(v, int) for v in pair)):
+        for pair in pairs:
+            if (type(pair) is not list or len(pair) != 2
+                    or type(pair[0]) is not int or type(pair[1]) is not int):
                 raise ScheduleFormatError(f"links must be [tx, rx] pairs, got {pair!r}")
             links.append((pair[0], pair[1]))
         entries.append(ScheduleEntry(tuple(sorted(links)), slots))
     sched = Schedule(tuple(entries))
-    if "total" in doc and doc["total"] != sched.total_slots:
-        raise ScheduleFormatError(
-            f"declared total {doc['total']} does not match entry sum {sched.total_slots}")
+    if "total" in doc:
+        total = doc["total"]
+        if type(total) is not int:
+            raise ScheduleFormatError(f"'total' must be an integer, got {total!r}")
+        if total != sched.total_slots:
+            raise ScheduleFormatError(
+                f"declared total {total} does not match entry sum {sched.total_slots}")
     return sched

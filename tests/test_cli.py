@@ -3,7 +3,7 @@ import json
 import pytest
 
 from mtrsched.cli import main
-from mtrsched.model import load_instance
+from mtrsched.model import Instance, gen_linear, load_instance, save_instance
 from mtrsched.schedule import schedule_from_json
 
 
@@ -194,6 +194,18 @@ class TestValidate:
         assert code == 1
         assert "conflict" in stdout
         assert "node 2" in stdout
+
+    def test_boolean_node_and_slots_rejected(self, capsys, tmp_path):
+        # read with true as node 1 and as one slot, this schedule would
+        # cover demands (7, 1) on the 2-node path and validate clean
+        inst = tmp_path / "l2.json"
+        inst.write_text(save_instance(Instance(gen_linear(2), (7, 1))))
+        sched = tmp_path / "s.json"
+        sched.write_text('{"entries": [{"links": [[true, 2]], "slots": 7},'
+                         ' {"links": [[2, 1]], "slots": true}]}')
+        code, stdout, stderr = run(capsys, "validate", str(inst), str(sched))
+        assert code == 1
+        assert "[tx, rx] pairs" in stderr
 
 
 class TestExperiment:

@@ -1,12 +1,23 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtrsched.conflict import (SizeLimitError, build_conflict_graph,
                                enumerate_maximal_matchings,
                                enumerate_mis_nodes, induced_matchings,
                                is_matching, is_maximal, transpose)
-from mtrsched.model import gen_complete, gen_linear
+from mtrsched.model import Network, gen_complete, gen_linear
 
 from helpers import all_networks
+from reference import conflict_masks
+
+
+@st.composite
+def networks(draw):
+    n = draw(st.integers(2, 30))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    return Network(n, draw(st.lists(st.sampled_from(pairs), unique=True,
+                                    max_size=80)))
 
 
 def semantic_conflict(a, b):
@@ -36,6 +47,7 @@ class TestConflictRule:
         checked = 0
         for net in all_networks(5):
             cg = build_conflict_graph(net)
+            assert list(cg.masks) == conflict_masks(net)
             links = net.links
             for x in range(len(links)):
                 for y in range(x + 1, len(links)):
@@ -43,6 +55,11 @@ class TestConflictRule:
                         semantic_conflict(links[x], links[y])
                     checked += 1
         assert checked > 10_000
+
+    @settings(max_examples=300, deadline=None)
+    @given(networks())
+    def test_masks_equal_pairwise_build(self, net):
+        assert list(build_conflict_graph(net).masks) == conflict_masks(net)
 
 
 class TestDegree:

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from mtrsched.conflict import SizeLimitError
-from mtrsched.experiments import (ExperimentConfig, run_demand_range_sweep,
-                                  run_experiment)
+from mtrsched.experiments import (ExperimentConfig, _worker_count,
+                                  run_demand_range_sweep, run_experiment)
 
 
 def small(**kw):
@@ -32,6 +32,18 @@ class TestRunExperiment:
         seq = run_experiment(small(trials=12))
         par = run_experiment(small(trials=12, jobs=3))
         assert results_only(seq) == results_only(par)
+
+    @pytest.mark.parametrize("jobs,trials,cpus,workers", [
+        (10**6, 1000, 2, 2),   # an absurd --jobs gets the CPUs, no more
+        (8, 3, 16, 3),         # never more workers than trials
+        (4, 100, 8, 4),
+        (1, 100, 8, 1),
+        (0, 100, 8, 1),
+        (-5, 100, 8, 1),
+        (4, 100, None, 1),     # CPU count unknown
+    ])
+    def test_worker_count_clamped(self, jobs, trials, cpus, workers):
+        assert _worker_count(jobs, trials, cpus) == workers
 
     def test_aggregates_recomputable(self):
         rep = run_experiment(small(trials=30))

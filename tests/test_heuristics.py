@@ -4,9 +4,11 @@ import pytest
 
 from mtrsched.conflict import build_conflict_graph, is_matching, is_maximal
 from mtrsched.heuristics import hwf, hwf_tiebreak_mdf, mdf
+from mtrsched.kernels import HWF, HWF_TIE_MDF, MDF
 from mtrsched.model import Instance, gen_grid, gen_linear, gen_ring
 from mtrsched.schedule import Schedule
 
+import reference
 from helpers import random_instance
 
 ALL = (hwf, mdf, hwf_tiebreak_mdf)
@@ -145,3 +147,15 @@ class TestProperties:
             got = list(pool.map(lambda args: args[1](args[0]).total_slots,
                                 [(i, alg) for i in instances for alg in ALL]))
         assert got == expected
+
+
+@pytest.mark.parametrize("alg,mode", [(hwf, HWF), (mdf, MDF),
+                                      (hwf_tiebreak_mdf, HWF_TIE_MDF)])
+def test_matches_reference_greedy(alg, mode):
+    # small demand ranges make many sort-key ties, so the stable order
+    # carried between rounds decides the result
+    rng = random.Random(41)
+    for _ in range(60):
+        inst = random_instance(rng, max_nodes=30, allow_zero=True,
+                               demand_hi=rng.choice([1, 3, 10]))
+        assert alg(inst) == reference.greedy(inst, mode)

@@ -9,6 +9,8 @@ import pytest
 from mtrsched import _kernels_py as pure
 from mtrsched import kernels
 
+import reference
+
 try:
     from mtrsched import _ckernels as compiled
 except ImportError:
@@ -54,6 +56,17 @@ def test_pure_mis_matches_naive():
     for _ in range(300):
         adj = random_graph(rng, rng.randint(0, 10))
         assert sorted(pure.maximal_independent_sets(adj)) == naive_mis(adj)
+
+
+def test_pure_greedy_matches_reference():
+    rng = random.Random(13)
+    for _ in range(1000):
+        n = rng.randint(0, 40)
+        adj = random_graph(rng, n)
+        demands = [rng.randint(0, rng.choice([1, 4, 15])) for _ in range(n)]
+        for mode in (kernels.HWF, kernels.MDF, kernels.HWF_TIE_MDF):
+            assert pure.greedy_rounds(list(demands), list(adj), mode) == \
+                reference.greedy_rounds(demands, adj, mode)
 
 
 @needs_compiled

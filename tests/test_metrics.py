@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from mtrsched.heuristics import hwf
+from mtrsched.heuristics import hwf, mdf
 from mtrsched.metrics import (UndefinedPenaltyError, cost_penalty,
                               lower_bounds, validate_schedule)
 from mtrsched.model import Instance, gen_linear
 from mtrsched.schedule import Schedule, ScheduleEntry
+
+import reference
+from helpers import random_instance
 
 
 class TestPenalty:
@@ -38,9 +42,6 @@ class TestLowerBounds:
         assert lower_bounds(Instance(four_node, (0,) * 8)) == (0, 0)
 
     def test_node_dominates_edge(self):
-        import random
-
-        from helpers import random_instance
         rng = random.Random(55)
         for _ in range(200):
             edge_b, node_b = lower_bounds(random_instance(rng, allow_zero=True))
@@ -91,3 +92,45 @@ class TestValidate:
         sched = Schedule((ScheduleEntry(((1, 2),), 5),
                           ScheduleEntry(((2, 1),), 5)))
         assert validate_schedule(inst, sched) == []
+
+
+def _corrupt(rng, inst, sched):
+    """A schedule with one to three random faults: a link swapped between
+    two entries, a link duplicated within or across entries, an unknown
+    link, a zero or negative slot count, a dropped entry."""
+    n = inst.network.node_count
+    entries = [[list(e.links), e.slots] for e in sched.entries]
+    for _ in range(rng.randint(1, 3)):
+        fault = rng.choice(["swap", "dup", "unknown", "slots", "drop"])
+        if not entries:
+            break
+        e = rng.choice(entries)
+        if fault == "swap" and len(entries) > 1:
+            f = rng.choice([x for x in entries if x is not e])
+            if e[0] and f[0]:
+                a, b = rng.randrange(len(e[0])), rng.randrange(len(f[0]))
+                e[0][a], f[0][b] = f[0][b], e[0][a]
+        elif fault == "dup" and e[0]:
+            rng.choice(entries)[0].append(rng.choice(e[0]))
+        elif fault == "unknown":
+            a, b = rng.sample(range(1, n + 2), 2)
+            e[0].append((a, b))  # absent unless the network has it
+        elif fault == "slots":
+            e[1] = rng.choice([0, -1, -7])
+        elif fault == "drop":
+            entries.remove(e)
+    return Schedule(tuple(ScheduleEntry(tuple(links), slots)
+                          for links, slots in entries))
+
+
+def test_validate_matches_reference_on_corrupted_schedules():
+    rng = random.Random(77)
+    kinds = set()
+    for _ in range(400):
+        inst = random_instance(rng, max_nodes=rng.choice([4, 8, 20]),
+                               allow_zero=True)
+        sched = _corrupt(rng, inst, rng.choice([hwf, mdf])(inst))
+        got = validate_schedule(inst, sched)
+        assert got == reference.validate_schedule(inst, sched)
+        kinds.update(v.kind for v in got)
+    assert kinds == {"bad-slots", "unknown-link", "conflict", "under-coverage"}

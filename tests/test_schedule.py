@@ -44,3 +44,27 @@ def test_coverage_counts_all_entries():
     assert sched.coverage((1, 2)) == 5
     assert sched.coverage((3, 4)) == 3
     assert sched.total_slots == 5
+
+
+
+@pytest.mark.parametrize("text,field", [
+    ('{"entries": [{"links": [[true, 2]], "slots": 7}]}', "pairs"),
+    ('{"entries": [{"links": [[2, 1]], "slots": true}]}', "'slots'"),
+    ('{"entries": [{"links": [[2, 1]], "slots": 1}], "total": true}', "'total'"),
+])
+def test_json_booleans_are_not_numbers(text, field):
+    with pytest.raises(ScheduleFormatError, match=field):
+        schedule_from_json(text)
+
+
+@pytest.mark.parametrize("text", [
+    '{"entries": 5}',
+    '{"entries": {"links": [], "slots": 1}}',
+    '{"entries": [{"links": 5, "slots": 1}]}',
+    '{"entries": [{"links": [[1, 2, 3]], "slots": 1}]}',
+    '{"entries": [{"links": [[1, 2.0]], "slots": 1}]}',
+    '[]',
+])
+def test_malformed_documents_rejected(text):
+    with pytest.raises(ScheduleFormatError):
+        schedule_from_json(text)
