@@ -20,7 +20,6 @@ from .exact import (IlpSolution, LpSolution, MisSolution, reduce_node_demands,
 from .experiments import (ExperimentConfig, ExperimentReport, run_experiment,
                           run_demand_range_sweep)
 from .heuristics import hwf, hwf_tiebreak_mdf, mdf
-from .kernels import backend as kernel_backend
 from .metrics import (UndefinedPenaltyError, Violation, cost_penalty,
                       lower_bounds, validate_schedule)
 from .model import (Instance, InstanceFormatError, InvalidSizeError, Link,
@@ -29,3 +28,9 @@ from .model import (Instance, InstanceFormatError, InvalidSizeError, Link,
 from .schedule import Schedule, ScheduleEntry, schedule_from_json, schedule_to_json
 
 __version__ = "0.1.0"
+
+
+def kernel_backend() -> str:
+    """Name of the implementation behind matching enumeration and greedy
+    rounds, recorded with benchmark results.  There is one, in pure Python."""
+    return "pure-python"

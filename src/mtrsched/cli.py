@@ -5,7 +5,9 @@ validate (check a schedule against an instance), experiment (randomized
 campaigns with CSV/JSON reports).
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 capability
-error (enumeration cap exceeded, non-bipartite topology, ...).
+error (enumeration cap exceeded, non-bipartite topology, ...).  Asking
+``solve --penalty`` of a fractional total (``lp``/``mis2p``) is a usage
+error: a penalty is defined for integer totals only.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import bipartite, experiments, kernels, metrics
+from . import __version__, bipartite, experiments, metrics
 from .conflict import SizeLimitError
 from .exact import solve_ilp, solve_lp, solve_mis_suboptimal
 from .model import (InstanceFormatError, InvalidSizeError, gen_complete,
@@ -41,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimum-airtime TDMA link scheduling for "
                     "multi-transmit-receive wireless networks.")
     parser.add_argument("--version", action="version",
-                        version=f"%(prog)s (kernels: {kernels.backend()})")
+                        version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance file")
@@ -207,8 +209,9 @@ def cmd_solve(args) -> int:
         out_doc = schedule_to_json(sched)
 
     if args.penalty:
+        total = _as_int_total(total)
         optimum = solve_ilp(instance).objective
-        penalty = metrics.cost_penalty(_as_int_total(total), optimum)
+        penalty = metrics.cost_penalty(total, optimum)
         print(f"optimal {optimum}  penalty {float(penalty):.2f}%")
     if args.out and out_doc is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -219,7 +222,7 @@ def cmd_solve(args) -> int:
 def _as_int_total(total) -> int:
     if isinstance(total, Fraction):
         if total.denominator != 1:
-            raise SizeLimitError("penalty is defined for integer totals only")
+            raise _UsageError("penalty is defined for integer totals only")
         return int(total)
     return total
 

@@ -16,9 +16,8 @@ outgoing bitmask per node in time linear in the number of links.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from . import kernels
 from .model import Link, Network
 
 DEFAULT_LINK_CAP = 30
@@ -149,6 +148,49 @@ def _mask_bits(mask: int) -> tuple[int, ...]:
     return tuple(bits)
 
 
+def maximal_independent_sets(adj: Sequence[int]) -> list[int]:
+    """All maximal independent sets of the graph with adjacency bitmasks
+    ``adj``, returned as bitmasks in no particular order.
+
+    Bron-Kerbosch with pivoting, run on the complement graph (maximal
+    independent sets are exactly the maximal cliques of the complement).
+    """
+    n = len(adj)
+    if n == 0:
+        return [0]
+    full = (1 << n) - 1
+    # complement adjacency: non[v] = vertices compatible with v
+    non = [~adj[v] & full & ~(1 << v) for v in range(n)]
+    out: list[int] = []
+
+    def expand(r: int, p: int, x: int) -> None:
+        if p == 0 and x == 0:
+            out.append(r)
+            return
+        # pivot on the vertex of P|X covering most of P
+        m = p | x
+        best_cov = -1
+        best = 0
+        while m:
+            b = m & -m
+            m ^= b
+            cov = (p & non[b.bit_length() - 1]).bit_count()
+            if cov > best_cov:
+                best_cov = cov
+                best = b.bit_length() - 1
+        cand = p & ~non[best]
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            nv = non[b.bit_length() - 1]
+            expand(r | b, p & nv, x & nv)
+            p ^= b
+            x |= b
+
+    expand(0, full, 0)
+    return out
+
+
 def enumerate_maximal_matching_masks(cg: ConflictGraph,
                                      cap: int = DEFAULT_LINK_CAP) -> list[int]:
     """Maximal matchings as link-index bitmasks, in the canonical order
@@ -159,7 +201,7 @@ def enumerate_maximal_matching_masks(cg: ConflictGraph,
             "use the greedy schedulers for networks this large")
     if cg.n_links == 0:
         return [0]
-    masks = kernels.maximal_independent_sets(list(cg.masks))
+    masks = maximal_independent_sets(cg.masks)
     masks.sort(key=_mask_bits)
     return masks
 
@@ -188,7 +230,7 @@ def enumerate_mis_nodes(network: Network,
     for a, b in network.edges:
         adj[a - 1] |= 1 << (b - 1)
         adj[b - 1] |= 1 << (a - 1)
-    sets = kernels.maximal_independent_sets(adj)
+    sets = maximal_independent_sets(adj)
     out = []
     for mask in sets:
         nodes = []

@@ -25,8 +25,10 @@ from fractions import Fraction
 from . import heuristics
 from .conflict import DEFAULT_LINK_CAP, SizeLimitError
 from .exact import solve_ilp
-from .model import (Instance, Network, _random_demands, _random_network,
-                    gen_complete, gen_grid, gen_linear, gen_ring)
+from .metrics import cost_penalty
+from .model import (Instance, Network, _check_demand_range, _random_demands,
+                    _random_network, gen_complete, gen_grid, gen_linear,
+                    gen_ring)
 
 __all__ = ["ALGORITHMS", "ExperimentConfig", "TrialRecord",
            "AlgorithmSummary", "ExperimentReport", "run_experiment",
@@ -191,6 +193,7 @@ def _max_links(config: ExperimentConfig) -> int:
 def _check_config(config: ExperimentConfig) -> None:
     if config.trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_demand_range(config.demand_lo, config.demand_hi)
     for alg in config.algorithms:
         if alg not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {alg!r}")
@@ -230,8 +233,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
         sched = ALGORITHMS[alg](instance)
         runtimes[alg] = time.perf_counter() - t0
         totals[alg] = sched.total_slots
-        penalties[alg] = Fraction(sched.total_slots - ilp.objective,
-                                  ilp.objective) * 100
+        penalties[alg] = cost_penalty(sched.total_slots, ilp.objective)
     return TrialRecord(trial, seed, len(network.links), ilp.lp_objective,
                        ilp.objective, totals, penalties, runtimes)
 

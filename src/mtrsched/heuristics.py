@@ -7,8 +7,9 @@ persists across rounds and the sort is stable, so links tied under the
 sort key stay in their previous relative order.  The keys:
 
 * ``hwf``  - heaviest residual demand first,
-* ``mdf``  - highest degree in the residual conflict graph first,
-  then heaviest residual,
+* ``mdf``  - highest degree in the residual conflict graph first; the
+  residual demand is never consulted, so degree ties keep the previous
+  round's order,
 * ``hwf_tiebreak_mdf`` - heaviest residual first, demand ties broken by
   residual degree.
 
@@ -19,12 +20,79 @@ exhausts at least one link, so the loop runs at most N times.
 
 from __future__ import annotations
 
-from . import kernels
+from typing import Sequence
+
 from .conflict import build_conflict_graph
 from .model import Instance
 from .schedule import Schedule, ScheduleEntry
 
 __all__ = ["hwf", "mdf", "hwf_tiebreak_mdf"]
+
+HWF = 0
+MDF = 1
+HWF_TIE_MDF = 2
+
+
+def greedy_rounds(demands: Sequence[int], adj: Sequence[int],
+                  mode: int) -> list[tuple[int, int]]:
+    """Greedy maximal-matching rounds over links with positive residual
+    demand.
+
+    One persistent list holds the active links, initially in ascending
+    index order.  Each round stable-sorts it by the mode's key (HWF:
+    residual descending; MDF: residual-graph degree descending; hybrid:
+    residual descending, then degree descending), so key ties keep their
+    relative order from the previous round.  The sorted list is scanned
+    once, adding every conflict-free link; the matching then gets the
+    minimum residual among its members, which is subtracted, and
+    exhausted links leave the list in place.
+    Returns [(member_bitmask, slots), ...].
+
+    Each round costs time linear in the active links: the sorts use
+    C-level keys (``reverse=True`` keeps ties in order, as a negated key
+    would), the hybrid key is two stable sorts, and residual degrees are
+    kept incrementally by removing the links exhausted in each round.
+    Around it, a greedy solve builds the conflict graph and decodes the
+    rounds, and callers usually validate and serialise the schedule; that
+    work outweighs the rounds themselves (perfbench/ measures the shares).
+    """
+    n = len(demands)
+    residual = list(demands)
+    active = [v for v in range(n) if residual[v] > 0]
+    by_residual = residual.__getitem__
+    if mode != HWF:
+        amask = 0
+        for v in active:
+            amask |= 1 << v
+        deg = [(adj[v] & amask).bit_count() for v in range(n)]
+        by_degree = deg.__getitem__
+    rounds: list[tuple[int, int]] = []
+    while active:
+        if mode == HWF:
+            active.sort(key=by_residual, reverse=True)
+        elif mode == MDF:
+            active.sort(key=by_degree, reverse=True)
+        else:
+            active.sort(key=by_degree, reverse=True)
+            active.sort(key=by_residual, reverse=True)
+        sel = 0
+        members = []
+        for v in active:
+            if adj[v] & sel == 0:
+                sel |= 1 << v
+                members.append(v)
+        slots = min(map(by_residual, members))
+        rounds.append((sel, slots))
+        gone = 0
+        for v in members:
+            residual[v] -= slots
+            if not residual[v]:
+                gone |= 1 << v
+        active = [v for v in active if residual[v] > 0]
+        if mode != HWF:
+            for v in active:
+                deg[v] -= (adj[v] & gone).bit_count()
+    return rounds
 
 
 def _greedy(instance: Instance, mode: int) -> Schedule:
@@ -32,7 +100,7 @@ def _greedy(instance: Instance, mode: int) -> Schedule:
     if not network.links or not any(instance.demands):
         return Schedule()
     cg = build_conflict_graph(network)
-    rounds = kernels.greedy_rounds(list(instance.demands), list(cg.masks), mode)
+    rounds = greedy_rounds(instance.demands, cg.masks, mode)
     all_links = network.links
     entries = []
     for mask, slots in rounds:
@@ -47,14 +115,14 @@ def _greedy(instance: Instance, mode: int) -> Schedule:
 
 def hwf(instance: Instance) -> Schedule:
     """Heaviest-demand-first greedy schedule."""
-    return _greedy(instance, kernels.HWF)
+    return _greedy(instance, HWF)
 
 
 def mdf(instance: Instance) -> Schedule:
     """Highest-conflict-degree-first greedy schedule."""
-    return _greedy(instance, kernels.MDF)
+    return _greedy(instance, MDF)
 
 
 def hwf_tiebreak_mdf(instance: Instance) -> Schedule:
     """Heaviest-demand-first with demand ties broken by residual degree."""
-    return _greedy(instance, kernels.HWF_TIE_MDF)
+    return _greedy(instance, HWF_TIE_MDF)

@@ -197,9 +197,13 @@ def gen_demands(network: Network, lo: int, hi: int, symmetric: bool,
                 seed: int) -> tuple[int, ...]:
     """Uniform integer demands in lo..hi, one draw per link, or one draw
     per undirected edge when symmetric."""
+    _check_demand_range(lo, hi)
+    return _random_demands(network, lo, hi, symmetric, random.Random(seed))
+
+
+def _check_demand_range(lo: int, hi: int) -> None:
     if not 1 <= lo <= hi:
         raise InvalidSizeError(f"demand range needs 1 <= lo <= hi, got {lo}..{hi}")
-    return _random_demands(network, lo, hi, symmetric, random.Random(seed))
 
 
 def _random_demands(network: Network, lo: int, hi: int, symmetric: bool,

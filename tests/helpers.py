@@ -30,3 +30,15 @@ def random_instance(rng: random.Random, max_nodes: int = 6,
             if rng.random() < 0.2:
                 demands[i] = 0
     return Instance(net, tuple(demands))
+
+
+def random_graph(rng: random.Random, n: int) -> list[int]:
+    """Adjacency bitmasks of a random graph on n vertices, edge
+    probability 0.4."""
+    adj = [0] * n
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 0.4:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    return adj

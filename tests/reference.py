@@ -1,10 +1,11 @@
 """Straightforward reference implementations that the fast paths of the
-package must match exactly: the pairwise conflict-mask build, the greedy
-kernel with explicit sort keys and per-round degree recomputation, and
-schedule validation by pairwise conflict scan and per-link coverage sums.
+package must match exactly: the pairwise conflict-mask build, maximal
+independent sets by filtering all vertex subsets, the greedy kernel with
+explicit sort keys and per-round degree recomputation, and schedule
+validation by pairwise conflict scan and per-link coverage sums.
 """
 
-from mtrsched.kernels import HWF, MDF
+from mtrsched.heuristics import HWF, MDF
 from mtrsched.metrics import Violation
 from mtrsched.schedule import Schedule, ScheduleEntry
 
@@ -23,6 +24,27 @@ def conflict_masks(network):
                 masks[a] |= 1 << b
                 masks[b] |= 1 << a
     return masks
+
+
+def maximal_independent_sets(adj):
+    """Maximal independent sets as sorted bitmasks: filter all subsets."""
+    n = len(adj)
+    independent = []
+    for mask in range(1 << n):
+        ok = True
+        for v in range(n):
+            if (mask >> v) & 1 and adj[v] & mask:
+                ok = False
+                break
+        if ok:
+            independent.append(mask)
+    indep = set(independent)
+    out = []
+    for m in independent:
+        if not any((m | (1 << v)) in indep for v in range(n)
+                   if not (m >> v) & 1):
+            out.append(m)
+    return sorted(out)
 
 
 def greedy_rounds(demands, adj, mode):

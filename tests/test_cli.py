@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import mtrsched
 from mtrsched.cli import main
 from mtrsched.model import Instance, gen_linear, load_instance, save_instance
 from mtrsched.schedule import schedule_from_json
@@ -163,6 +164,17 @@ class TestSolve:
         assert code == 3
         assert "cap" in err
 
+    def test_penalty_of_fractional_lp_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "ring5.json"
+        code, _, _ = run(capsys, "gen", "--topology", "ring", "--n", "5",
+                         "--demand", "fixed:1", "--symmetric", "--out", str(path))
+        assert code == 0
+        code, stdout, err = run(capsys, "solve", "--alg", "lp", "--penalty",
+                                str(path))
+        assert code == 2
+        assert stdout.splitlines()[0].startswith("5/2")
+        assert "integer totals only" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "--alg", "hwf", "/no/such/file")
         assert code == 2
@@ -249,8 +261,22 @@ class TestExperiment:
                            "--seed", "1", "--n", "7", "--symmetric")
         assert code == 3
 
+    @pytest.mark.parametrize("spec", ["uniform:0:0", "uniform:5:2"])
+    def test_bad_demand_range_usage_error(self, capsys, spec):
+        code, _, err = run(capsys, "experiment", "--trials", "2", "--seed", "1",
+                           "--n", "4", "--demand", spec, "--symmetric")
+        assert code == 2
+        assert "demand range needs 1 <= lo <= hi" in err
+
 
 def test_usage_exit_code_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])  # missing required --alg
     assert exc.value.code == 2
+
+
+def test_version_prints_package_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == f"mtrsched {mtrsched.__version__}"

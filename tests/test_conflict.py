@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,10 +7,12 @@ from hypothesis import strategies as st
 from mtrsched.conflict import (SizeLimitError, build_conflict_graph,
                                enumerate_maximal_matchings,
                                enumerate_mis_nodes, induced_matchings,
-                               is_matching, is_maximal, transpose)
+                               is_matching, is_maximal,
+                               maximal_independent_sets, transpose)
 from mtrsched.model import Network, gen_complete, gen_linear
 
-from helpers import all_networks
+import reference
+from helpers import all_networks, random_graph
 from reference import conflict_masks
 
 
@@ -162,6 +166,17 @@ class TestEnumeration:
     def test_node_cap(self):
         with pytest.raises(SizeLimitError):
             enumerate_mis_nodes(gen_complete(9))
+
+    def test_maximal_independent_sets_match_naive(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            adj = random_graph(rng, rng.randint(0, 10))
+            assert sorted(maximal_independent_sets(adj)) == \
+                reference.maximal_independent_sets(adj)
+
+    def test_maximal_independent_sets_of_empty_graph(self):
+        assert maximal_independent_sets([]) == [0]
+        assert maximal_independent_sets([0, 0]) == [0b11]
 
 
 class TestNodeSets:

@@ -8,6 +8,7 @@ import pytest
 from mtrsched.conflict import SizeLimitError
 from mtrsched.experiments import (ExperimentConfig, _worker_count,
                                   run_demand_range_sweep, run_experiment)
+from mtrsched.model import InvalidSizeError
 
 
 def small(**kw):
@@ -102,6 +103,12 @@ class TestRunExperiment:
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_experiment(small(algorithms=("hwf", "nope")))
+
+    @pytest.mark.parametrize("lo,hi", [(0, 0), (5, 2)])
+    def test_bad_demand_range(self, lo, hi):
+        with pytest.raises(InvalidSizeError,
+                           match=f"demand range needs 1 <= lo <= hi, got {lo}..{hi}"):
+            run_experiment(small(demand_lo=lo, demand_hi=hi))
 
 
 class TestReports:

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from mtrsched.conflict import build_conflict_graph, is_matching, is_maximal
-from mtrsched.heuristics import hwf, hwf_tiebreak_mdf, mdf
-from mtrsched.kernels import HWF, HWF_TIE_MDF, MDF
+from mtrsched.heuristics import (HWF, HWF_TIE_MDF, MDF, greedy_rounds, hwf,
+                                 hwf_tiebreak_mdf, mdf)
 from mtrsched.model import Instance, gen_grid, gen_linear, gen_ring
 from mtrsched.schedule import Schedule
 
 import reference
-from helpers import random_instance
+from helpers import random_graph, random_instance
 
 ALL = (hwf, mdf, hwf_tiebreak_mdf)
 
@@ -131,7 +131,7 @@ class TestProperties:
 
     @pytest.mark.parametrize("alg", ALL)
     def test_beyond_compiled_mask_width(self, alg):
-        # 10-node complete network: 90 links, pure-int bitmask path
+        # 10-node complete network: 90 links, masks wider than 64 bits
         from mtrsched.model import gen_complete, gen_demands
         net = gen_complete(10)
         inst = Instance(net, gen_demands(net, 1, 10, False, seed=13))
@@ -155,7 +155,27 @@ def test_matches_reference_greedy(alg, mode):
     # small demand ranges make many sort-key ties, so the stable order
     # carried between rounds decides the result
     rng = random.Random(41)
-    for _ in range(60):
-        inst = random_instance(rng, max_nodes=30, allow_zero=True,
-                               demand_hi=rng.choice([1, 3, 10]))
+    instances = [random_instance(rng, max_nodes=30, allow_zero=True,
+                                 demand_hi=rng.choice([1, 3, 10]))
+                 for _ in range(60)]
+    # slot counts beyond 64 bits
+    instances.append(Instance(gen_linear(2), (2**63, 1)))
+    for inst in instances:
         assert alg(inst) == reference.greedy(inst, mode)
+    assert alg(instances[-1]).total_slots == 2**63 + 1
+
+
+def test_greedy_rounds_match_reference():
+    rng = random.Random(13)
+    for _ in range(1000):
+        n = rng.randint(0, 40)
+        adj = random_graph(rng, n)
+        demands = [rng.randint(0, rng.choice([1, 4, 15])) for _ in range(n)]
+        for mode in (HWF, MDF, HWF_TIE_MDF):
+            assert greedy_rounds(demands, adj, mode) == \
+                reference.greedy_rounds(demands, adj, mode)
+
+
+def test_greedy_rounds_empty():
+    assert greedy_rounds([], [], HWF) == []
+    assert greedy_rounds([0, 0], [2, 1], MDF) == []
