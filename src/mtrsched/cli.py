@@ -7,7 +7,10 @@ campaigns with CSV/JSON reports).
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 capability
 error (enumeration cap exceeded, non-bipartite topology, ...).  Asking
 ``solve --penalty`` of a fractional total (``lp``/``mis2p``) is a usage
-error: a penalty is defined for integer totals only.
+error: a penalty is defined for integer totals only.  A schedule file
+that ``validate`` cannot parse (including one that is not UTF-8) is a
+validation failure.  Only the typed input errors map to exit 2; any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -210,7 +213,7 @@ def cmd_solve(args) -> int:
 
     if args.penalty:
         total = _as_int_total(total)
-        optimum = solve_ilp(instance).objective
+        optimum = total if alg == "exact" else solve_ilp(instance).objective
         penalty = metrics.cost_penalty(total, optimum)
         print(f"optimal {optimum}  penalty {float(penalty):.2f}%")
     if args.out and out_doc is not None:
@@ -234,7 +237,7 @@ def _fmt_fraction(x: Fraction) -> str:
 def cmd_validate(args) -> int:
     instance = _load_instance_file(args.instance)
     try:
-        with open(args.schedule, encoding="utf-8") as fh:
+        with open(args.schedule, "rb") as fh:
             sched = schedule_from_json(fh.read())
     except ScheduleFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -262,7 +265,11 @@ def cmd_experiment(args) -> int:
         return EXIT_USAGE
 
     if args.demand_ranges:
-        his = [int(x) for x in args.demand_ranges.split(",")]
+        try:
+            his = [int(x) for x in args.demand_ranges.split(",")]
+        except ValueError:
+            raise _UsageError("--demand-ranges must be comma-separated "
+                              f"integers, got {args.demand_ranges!r}") from None
         sweep = experiments.run_demand_range_sweep(config, his)
         lines = ["demand_hi," + ",".join(f"mean_p_{a}" for a in config.algorithms)]
         for hi_val, report in sweep:
@@ -288,13 +295,8 @@ def cmd_experiment(args) -> int:
 
 
 def _load_instance_file(path: str) -> Instance:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return load_instance(fh.read())
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
 
 
 def main(argv=None) -> int:
@@ -305,8 +307,8 @@ def main(argv=None) -> int:
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
-    except (_UsageError, InstanceFormatError, InvalidSizeError,
-            ScheduleFormatError, ValueError, OSError) as exc:
+    except (_UsageError, experiments._ConfigError, InstanceFormatError,
+            InvalidSizeError, ScheduleFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

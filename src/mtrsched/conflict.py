@@ -35,6 +35,7 @@ __all__ = [
     "mask_to_links",
     "enumerate_maximal_matching_masks",
     "enumerate_maximal_matchings",
+    "enumerate_mis_node_masks",
     "enumerate_mis_nodes",
     "induced_matchings",
 ]
@@ -84,30 +85,27 @@ def _to_mask(cg: ConflictGraph, links: Iterable[Link]) -> int:
     return mask
 
 
-def _from_mask(network: Network, mask: int) -> frozenset[Link]:
-    links = []
+def _mask_bits(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask in ascending order: the one decoder every
+    link and node bitmask goes through."""
+    bits = []
     while mask:
         b = mask & -mask
         mask ^= b
-        links.append(network.links[b.bit_length() - 1])
-    return frozenset(links)
+        bits.append(b.bit_length() - 1)
+    return tuple(bits)
 
 
 def mask_to_links(network: Network, mask: int) -> frozenset[Link]:
     """Decode a link-index bitmask into the links it names."""
-    return _from_mask(network, mask)
+    links = network.links
+    return frozenset(links[b] for b in _mask_bits(mask))
 
 
 def is_matching(cg: ConflictGraph, links: Iterable[Link]) -> bool:
     """True iff the links are pairwise conflict-free."""
     mask = _to_mask(cg, links)
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        if cg.masks[b.bit_length() - 1] & mask:
-            return False
-    return True
+    return all(cg.masks[b] & mask == 0 for b in _mask_bits(mask))
 
 
 def is_maximal(cg: ConflictGraph, matching: Iterable[Link],
@@ -119,13 +117,7 @@ def is_maximal(cg: ConflictGraph, matching: Iterable[Link],
         emask = (1 << cg.n_links) - 1
     else:
         emask = _to_mask(cg, eligible)
-    cand = emask & ~mmask
-    while cand:
-        b = cand & -cand
-        cand ^= b
-        if cg.masks[b.bit_length() - 1] & mmask == 0:
-            return False
-    return True
+    return all(cg.masks[b] & mmask for b in _mask_bits(emask & ~mmask))
 
 
 def transpose(network: Network, matching: Iterable[Link]) -> frozenset[Link]:
@@ -137,15 +129,6 @@ def transpose(network: Network, matching: Iterable[Link]) -> frozenset[Link]:
             raise KeyError(f"no such link {(tx, rx)}")
         out.add((rx, tx))
     return frozenset(out)
-
-
-def _mask_bits(mask: int) -> tuple[int, ...]:
-    bits = []
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        bits.append(b.bit_length() - 1)
-    return tuple(bits)
 
 
 def maximal_independent_sets(adj: Sequence[int]) -> list[int]:
@@ -214,14 +197,15 @@ def enumerate_maximal_matchings(cg: ConflictGraph,
     Exhaustive enumeration is exponential in the worst case, so networks
     with more than ``cap`` links are refused.
     """
-    return [_from_mask(cg.network, m)
+    return [mask_to_links(cg.network, m)
             for m in enumerate_maximal_matching_masks(cg, cap)]
 
 
-def enumerate_mis_nodes(network: Network,
-                        cap: int = DEFAULT_NODE_CAP) -> list[frozenset[int]]:
-    """All maximal independent sets of the undirected topology graph,
-    sorted by their sorted node tuples."""
+def enumerate_mis_node_masks(network: Network,
+                             cap: int = DEFAULT_NODE_CAP) -> list[int]:
+    """Maximal independent sets of the undirected topology graph as node
+    bitmasks (node v is bit v-1), in the canonical order (sorted by
+    ascending member index tuples, hence by sorted node tuples)."""
     n = network.node_count
     if n > cap:
         raise SizeLimitError(
@@ -230,17 +214,17 @@ def enumerate_mis_nodes(network: Network,
     for a, b in network.edges:
         adj[a - 1] |= 1 << (b - 1)
         adj[b - 1] |= 1 << (a - 1)
-    sets = maximal_independent_sets(adj)
-    out = []
-    for mask in sets:
-        nodes = []
-        while mask:
-            b = mask & -mask
-            mask ^= b
-            nodes.append(b.bit_length())
-        out.append(frozenset(nodes))
-    out.sort(key=lambda s: tuple(sorted(s)))
-    return out
+    masks = maximal_independent_sets(adj)
+    masks.sort(key=_mask_bits)
+    return masks
+
+
+def enumerate_mis_nodes(network: Network,
+                        cap: int = DEFAULT_NODE_CAP) -> list[frozenset[int]]:
+    """All maximal independent sets of the undirected topology graph,
+    sorted by their sorted node tuples."""
+    return [frozenset(b + 1 for b in _mask_bits(m))
+            for m in enumerate_mis_node_masks(network, cap)]
 
 
 def induced_matchings(network: Network,

@@ -2,8 +2,12 @@
 branch-and-bound on top of it, and the all-outgoing-links relaxation.
 
 Everything here runs on exact rational arithmetic (fractions.Fraction);
-there are no floating-point tolerances anywhere.  Demands are small
-integers and the matrices are tiny, so exactness is cheap.
+there are no floating-point tolerances anywhere.  Exactness is not cheap:
+the Fraction simplex takes nearly all of an exact solve's time, far more
+than enumeration or the greedy seeding (perfbench/ measures the shares).
+
+The solvers stay on bitmasks from enumeration to witness and decode
+links or nodes only for the solution they return.
 """
 
 from __future__ import annotations
@@ -11,11 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from . import heuristics
-from .conflict import (DEFAULT_LINK_CAP, DEFAULT_NODE_CAP, ConflictGraph,
+from .conflict import (DEFAULT_LINK_CAP, DEFAULT_NODE_CAP, _mask_bits,
                        build_conflict_graph, enumerate_maximal_matching_masks,
-                       enumerate_mis_nodes, mask_to_links)
+                       enumerate_mis_node_masks, mask_to_links)
 from .model import Instance, Link
 from .schedule import Schedule, ScheduleEntry
 
@@ -212,7 +217,7 @@ def _simplex_min_ge(cost: list[Fraction], rows: list[list[Fraction]],
     return objective, x
 
 
-def _covering_lp(col_masks: list[int], n_rows: int, demands: list[int],
+def _covering_lp(col_masks: list[int], n_rows: int, demands: Sequence[int],
                  bounds: dict[int, tuple[int, int | None]] | None = None,
                  ) -> tuple[Fraction, list[Fraction]] | None:
     """min sum(u) s.t. coverage >= demands plus optional per-column integer
@@ -243,78 +248,55 @@ def _covering_lp(col_masks: list[int], n_rows: int, demands: list[int],
         return None
 
 
-def _enumerated(instance: Instance, cap: int) -> tuple[ConflictGraph, list[int]]:
-    cg = build_conflict_graph(instance.network)
-    return cg, enumerate_maximal_matching_masks(cg, cap)
-
-
 def solve_lp(instance: Instance, cap: int = DEFAULT_LINK_CAP) -> LpSolution:
     """Exact fractional optimum of the covering program over all maximal
     matchings: the minimum airtime if slots were divisible."""
-    _, masks = _enumerated(instance, cap)
+    masks = enumerate_maximal_matching_masks(
+        build_conflict_graph(instance.network), cap)
     matchings = tuple(mask_to_links(instance.network, m) for m in masks)
     n = len(instance.network.links)
     if n == 0:
         return LpSolution(_ZERO, tuple(_ZERO for _ in masks), matchings)
-    obj, x = _covering_lp(masks, n, list(instance.demands))
+    obj, x = _covering_lp(masks, n, instance.demands)
     return LpSolution(obj, tuple(x), matchings)
-
-
-def _lift_schedule(schedule: Schedule, cg: ConflictGraph,
-                   mask_index: dict[int, int], k: int) -> list[int]:
-    """Map a greedy schedule onto the enumerated maximal matchings by
-    extending each entry's matching greedily (coverage only grows)."""
-    alloc = [0] * k
-    net = cg.network
-    n = cg.n_links
-    for entry in schedule.entries:
-        ext = 0
-        for link in entry.links:
-            ext |= 1 << net.link_index(link)
-        for v in range(n):
-            if not (ext >> v) & 1 and cg.masks[v] & ext == 0:
-                ext |= 1 << v
-        alloc[mask_index[ext]] += entry.slots
-    return alloc
-
-
-def _schedule_from_allocation(network, masks: list[int],
-                              alloc: list[int]) -> Schedule:
-    entries = []
-    for j, u in enumerate(alloc):
-        if u > 0:
-            links = tuple(sorted(mask_to_links(network, masks[j])))
-            entries.append(ScheduleEntry(links, u))
-    return Schedule(tuple(entries))
 
 
 def solve_ilp(instance: Instance, cap: int = DEFAULT_LINK_CAP) -> IlpSolution:
     """Minimum integer airtime, by depth-first branch-and-bound with the
     rational LP as bound.
 
-    The greedy schedulers seed the incumbent.  Branching fixes the
+    The best greedy rounds (HWF, MDF, hybrid; first on ties), run on the
+    solve's one conflict graph, seed the incumbent.  Branching fixes the
     matching with the largest fractional allocation (lowest index on
     ties), exploring the rounded-up branch first.  The search is fully
     deterministic, so repeated runs return the identical witness.
     """
     net = instance.network
-    cg, masks = _enumerated(instance, cap)
+    cg = build_conflict_graph(net)
+    masks = enumerate_maximal_matching_masks(cg, cap)
     matchings = tuple(mask_to_links(net, m) for m in masks)
     k = len(masks)
-    n = len(net.links)
-    if n == 0 or not any(instance.demands):
+    n = cg.n_links
+    demands = instance.demands
+    if n == 0 or not any(demands):
         return IlpSolution(0, tuple([0] * k), matchings, Schedule())
 
+    adj = cg.masks
     mask_index = {m: j for j, m in enumerate(masks)}
     best_total = None
     best_alloc = None
-    for alg in (heuristics.hwf, heuristics.mdf, heuristics.hwf_tiebreak_mdf):
-        sched = alg(instance)
-        if best_total is None or sched.total_slots < best_total:
-            best_total = sched.total_slots
-            best_alloc = _lift_schedule(sched, cg, mask_index, k)
+    for mode in (heuristics.HWF, heuristics.MDF, heuristics.HWF_TIE_MDF):
+        rounds = heuristics.greedy_rounds(demands, adj, mode)
+        total = sum(slots for _, slots in rounds)
+        if best_total is None or total < best_total:
+            best_total = total
+            best_alloc = [0] * k
+            for ext, slots in rounds:  # extend to a maximal matching
+                for v in range(n):
+                    if not (ext >> v) & 1 and adj[v] & ext == 0:
+                        ext |= 1 << v
+                best_alloc[mask_index[ext]] += slots
 
-    demands = list(instance.demands)
     root_lp = _ZERO
     # depth-first stack of per-column (lo, hi) bound maps; the entry pushed
     # last is explored first, so push the floor branch before the ceil one
@@ -343,8 +325,11 @@ def solve_ilp(instance: Instance, cap: int = DEFAULT_LINK_CAP) -> IlpSolution:
         up[j] = (math.ceil(v), hi)
         stack.append(up)
 
-    return IlpSolution(best_total, tuple(best_alloc), matchings,
-                       _schedule_from_allocation(net, masks, best_alloc),
+    # links are in canonical order, so ascending bits give sorted tuples
+    schedule = Schedule(tuple(
+        ScheduleEntry(tuple(net.links[b] for b in _mask_bits(masks[j])), u)
+        for j, u in enumerate(best_alloc) if u > 0))
+    return IlpSolution(best_total, tuple(best_alloc), matchings, schedule,
                        root_lp)
 
 
@@ -364,13 +349,9 @@ def solve_mis_suboptimal(instance: Instance,
     transmitting node drives all its outgoing links for the whole slot:
     cover the per-node demands with maximal independent node sets."""
     net = instance.network
-    mis = enumerate_mis_nodes(net, cap)
-    t = reduce_node_demands(instance)
-    k = len(mis)
-    rows = []
-    rhs = []
-    for v in range(1, net.node_count + 1):
-        rows.append([_ONE if v in mis[l] else _ZERO for l in range(k)])
-        rhs.append(Fraction(t[v - 1]))
-    obj, x = _simplex_min_ge([_ONE] * k, rows, rhs)
-    return MisSolution(obj, tuple(x), tuple(mis))
+    masks = enumerate_mis_node_masks(net, cap)
+    # every node lies in some maximal independent set, so the covering LP
+    # is always feasible and _covering_lp never returns None here
+    obj, x = _covering_lp(masks, net.node_count, reduce_node_demands(instance))
+    node_sets = tuple(frozenset(b + 1 for b in _mask_bits(m)) for m in masks)
+    return MisSolution(obj, tuple(x), node_sets)

@@ -26,9 +26,9 @@ from . import heuristics
 from .conflict import DEFAULT_LINK_CAP, SizeLimitError
 from .exact import solve_ilp
 from .metrics import cost_penalty
-from .model import (Instance, Network, _check_demand_range, _random_demands,
-                    _random_network, gen_complete, gen_grid, gen_linear,
-                    gen_ring)
+from .model import (Instance, Network, _check_demand_range,
+                    _check_random_topology, _random_demands, _random_network,
+                    gen_complete, gen_grid, gen_linear, gen_ring)
 
 __all__ = ["ALGORITHMS", "ExperimentConfig", "TrialRecord",
            "AlgorithmSummary", "ExperimentReport", "run_experiment",
@@ -41,6 +41,10 @@ ALGORITHMS = {
 }
 
 _MAX_REGEN_ATTEMPTS = 1000
+
+
+class _ConfigError(ValueError):
+    """A campaign configuration outside the harness's domain."""
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,7 @@ def _fixed_network(config: ExperimentConfig) -> Network | None:
         return gen_complete(config.nodes)
     if config.topology == "random":
         return None
-    raise ValueError(f"unknown topology {config.topology!r}")
+    raise _ConfigError(f"unknown topology {config.topology!r}")
 
 
 def _max_links(config: ExperimentConfig) -> int:
@@ -192,17 +196,21 @@ def _max_links(config: ExperimentConfig) -> int:
 
 def _check_config(config: ExperimentConfig) -> None:
     if config.trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise _ConfigError("trials must be >= 1")
     _check_demand_range(config.demand_lo, config.demand_hi)
     for alg in config.algorithms:
         if alg not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {alg!r}")
+            raise _ConfigError(f"unknown algorithm {alg!r}")
+    if config.topology == "random":
+        # gen_random's domain; an empty network (p = 0) is a valid
+        # instance there, but here every trial would be regenerated
+        _check_random_topology(config.nodes, config.edge_prob)
+        if config.edge_prob == 0.0:
+            raise _ConfigError("edge_prob must be positive: every trial would be empty")
     if _max_links(config) > DEFAULT_LINK_CAP:
         raise SizeLimitError(
             f"configuration may produce up to {_max_links(config)} links, "
             f"beyond the exact solver cap of {DEFAULT_LINK_CAP}")
-    if config.topology == "random" and config.edge_prob <= 0.0:
-        raise ValueError("edge_prob must be positive: every trial would be empty")
 
 
 def _run_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
@@ -264,9 +272,9 @@ def run_demand_range_sweep(config: ExperimentConfig,
                            ) -> list[tuple[int, ExperimentReport]]:
     """Re-run the campaign once per demand upper bound.  The same master
     seed (hence the same networks per trial index) is reused across
-    ranges, which pairs the comparisons."""
-    out = []
-    for hi in upper_bounds:
-        cfg = dataclasses.replace(config, demand_hi=hi)
-        out.append((hi, run_experiment(cfg)))
-    return out
+    ranges, which pairs the comparisons.  Every range is checked before
+    the first campaign runs."""
+    configs = [dataclasses.replace(config, demand_hi=hi) for hi in upper_bounds]
+    for cfg in configs:
+        _check_config(cfg)
+    return [(cfg.demand_hi, run_experiment(cfg)) for cfg in configs]

@@ -177,11 +177,15 @@ def gen_random(n: int, p: float, seed: int) -> Network:
     """Each unordered node pair becomes an edge independently with
     probability p.  Isolated nodes are kept; they simply carry no links.
     """
+    _check_random_topology(n, p)
+    return _random_network(n, p, random.Random(seed))
+
+
+def _check_random_topology(n: int, p: float) -> None:
     if n < 2:
         raise InvalidSizeError(f"random network needs n >= 2, got {n}")
     if not 0.0 <= p <= 1.0:
         raise InvalidSizeError(f"edge probability must be in [0, 1], got {p}")
-    return _random_network(n, p, random.Random(seed))
 
 
 def _random_network(n: int, p: float, rng: random.Random) -> Network:
@@ -241,11 +245,9 @@ def _json_int(v) -> bool:
 
 def load_instance(text: str | bytes) -> Instance:
     """Parse an instance document; inverse of save_instance."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    try:  # bad UTF-8, bad JSON and over-long ints all raise ValueError
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except ValueError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InstanceFormatError("top-level document must be an object")

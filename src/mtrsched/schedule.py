@@ -53,11 +53,9 @@ def schedule_from_json(text: str | bytes) -> Schedule:
     """Parse a schedule document; inverse of schedule_to_json.  Node ids
     and slot counts must be JSON integers: ``true``/``false`` are refused
     (``type(v) is int`` excludes bool, as ``model._json_int`` does)."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    try:  # bad UTF-8, bad JSON and over-long ints all raise ValueError
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except ValueError as exc:
         raise ScheduleFormatError(f"not valid JSON: {exc}") from None
     if type(doc) is not dict or type(doc.get("entries")) is not list:
         raise ScheduleFormatError("schedule document must be an object with "

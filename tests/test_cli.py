@@ -3,7 +3,9 @@ import json
 import pytest
 
 import mtrsched
+from mtrsched import cli
 from mtrsched.cli import main
+from mtrsched.exact import solve_ilp
 from mtrsched.model import Instance, gen_linear, load_instance, save_instance
 from mtrsched.schedule import schedule_from_json
 
@@ -179,6 +181,36 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--alg", "hwf", "/no/such/file")
         assert code == 2
 
+    def test_non_utf8_instance_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff{")
+        code, _, err = run(capsys, "solve", "--alg", "hwf", str(path))
+        assert code == 2
+        assert "not valid JSON" in err
+
+    def test_exact_penalty_solves_once(self, capsys, monkeypatch, grid_asym):
+        calls = []
+
+        def counting(instance):
+            calls.append(instance)
+            return solve_ilp(instance)
+
+        monkeypatch.setattr(cli, "solve_ilp", counting)
+        code, stdout, _ = run(capsys, "solve", "--alg", "exact", "--penalty",
+                              str(grid_asym))
+        assert code == 0
+        assert len(calls) == 1
+        assert stdout.splitlines()[-1].endswith("penalty 0.00%")
+
+    def test_internal_error_is_not_a_usage_error(self, capsys, monkeypatch,
+                                                 grid_asym):
+        def broken(instance):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(cli, "solve_lp", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["solve", "--alg", "lp", str(grid_asym)])
+
 
 class TestValidate:
     def test_tampered_schedule(self, capsys, tmp_path, grid_asym):
@@ -218,6 +250,15 @@ class TestValidate:
         code, stdout, stderr = run(capsys, "validate", str(inst), str(sched))
         assert code == 1
         assert "[tx, rx] pairs" in stderr
+
+    def test_non_utf8_schedule_rejected(self, capsys, tmp_path):
+        inst = tmp_path / "l2.json"
+        inst.write_text(save_instance(Instance(gen_linear(2), (1, 1))))
+        sched = tmp_path / "s.json"
+        sched.write_bytes(b"\xff{")
+        code, _, stderr = run(capsys, "validate", str(inst), str(sched))
+        assert code == 1
+        assert "not valid JSON" in stderr
 
 
 class TestExperiment:
@@ -267,6 +308,19 @@ class TestExperiment:
                            "--n", "4", "--demand", spec, "--symmetric")
         assert code == 2
         assert "demand range needs 1 <= lo <= hi" in err
+
+    @pytest.mark.parametrize("n,p", [("1", "0.5"), ("4", "1.5")])
+    def test_random_topology_domain_usage_error(self, capsys, n, p):
+        code, _, err = run(capsys, "experiment", "--trials", "2", "--seed", "1",
+                           "--n", n, "--p", p, "--symmetric")
+        assert code == 2
+        assert "n >= 2" in err or "[0, 1]" in err
+
+    def test_non_integer_demand_ranges_usage_error(self, capsys):
+        code, _, err = run(capsys, "experiment", "--trials", "2", "--seed", "1",
+                           "--n", "4", "--demand-ranges", "10,x", "--symmetric")
+        assert code == 2
+        assert "--demand-ranges" in err
 
 
 def test_usage_exit_code_from_argparse():

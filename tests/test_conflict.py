@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mtrsched.conflict import (SizeLimitError, build_conflict_graph,
                                enumerate_maximal_matchings,
+                               enumerate_mis_node_masks,
                                enumerate_mis_nodes, induced_matchings,
                                is_matching, is_maximal,
                                maximal_independent_sets, transpose)
@@ -166,6 +167,8 @@ class TestEnumeration:
     def test_node_cap(self):
         with pytest.raises(SizeLimitError):
             enumerate_mis_nodes(gen_complete(9))
+        with pytest.raises(SizeLimitError):
+            enumerate_mis_node_masks(gen_complete(9))
 
     def test_maximal_independent_sets_match_naive(self):
         rng = random.Random(3)
@@ -187,6 +190,21 @@ class TestNodeSets:
     def test_single_edge(self):
         assert enumerate_mis_nodes(gen_linear(2)) == [
             frozenset({1}), frozenset({2})]
+
+    def test_node_masks_match_naive_and_decode(self):
+        # node v is bit v-1; the order is by ascending member tuples
+        for net in all_networks(5):
+            adj = [0] * net.node_count
+            for a, b in net.edges:
+                adj[a - 1] |= 1 << (b - 1)
+                adj[b - 1] |= 1 << (a - 1)
+            masks = enumerate_mis_node_masks(net)
+            assert sorted(masks) == reference.maximal_independent_sets(adj)
+            members = [tuple(v for v in range(net.node_count) if m >> v & 1)
+                       for m in masks]
+            assert members == sorted(members)
+            assert enumerate_mis_nodes(net) == [
+                frozenset(v + 1 for v in t) for t in members]
 
     def test_adjacent_nodes_never_together(self, five_node):
         for s in enumerate_mis_nodes(five_node):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mtrsched import conflict, heuristics
 from mtrsched.conflict import SizeLimitError
 from mtrsched.exact import (_simplex_min_ge, reduce_node_demands, solve_ilp,
                             solve_lp, solve_mis_suboptimal)
@@ -244,6 +245,27 @@ class TestSolveIlp:
         inst = Instance(gen_complete(7), (1,) * 42)
         with pytest.raises(SizeLimitError):
             solve_ilp(inst)
+
+    def test_one_conflict_graph_and_no_public_greedy(self, monkeypatch):
+        builds = []
+        real_init = conflict.ConflictGraph.__init__
+
+        def counting_init(self, network):
+            builds.append(network)
+            real_init(self, network)
+
+        def public_greedy(instance):
+            raise AssertionError("solve_ilp called a public greedy")
+
+        monkeypatch.setattr(conflict.ConflictGraph, "__init__", counting_init)
+        for name in ("hwf", "mdf", "hwf_tiebreak_mdf"):
+            monkeypatch.setattr(heuristics, name, public_greedy)
+        f = (7, 8, 8, 4, 7, 2, 8, 1, 3, 1, 1, 9, 7, 4, 10, 1, 5, 4, 8, 8, 2, 5, 5, 7)
+        sol = solve_ilp(Instance(gen_grid(3, 3), f))
+        assert sol.objective == 18
+        assert len(builds) == 1
+        for entry in sol.schedule.entries:
+            assert entry.links == tuple(sorted(entry.links))
 
 
 class TestNodeDemands:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from mtrsched.conflict import SizeLimitError
+from mtrsched import experiments
 from mtrsched.experiments import (ExperimentConfig, _worker_count,
                                   run_demand_range_sweep, run_experiment)
 from mtrsched.model import InvalidSizeError
@@ -110,6 +111,13 @@ class TestRunExperiment:
                            match=f"demand range needs 1 <= lo <= hi, got {lo}..{hi}"):
             run_experiment(small(demand_lo=lo, demand_hi=hi))
 
+    @pytest.mark.parametrize("nodes,p", [(1, 0.5), (0, 0.5), (-6, 0.5),
+                                         (4, 1.5), (4, -0.5), (4, float("nan"))])
+    def test_random_topology_domain(self, nodes, p):
+        # the same rules gen_random applies, checked before the link cap
+        with pytest.raises(InvalidSizeError, match=r"n >= 2|\[0, 1\]"):
+            run_experiment(small(nodes=nodes, edge_prob=p))
+
 
 class TestReports:
     def test_csv_schema(self):
@@ -153,3 +161,11 @@ class TestSweep:
         hi10 = max(r.ilp for _, rep in sweep[:1] for r in rep.records)
         hi50 = max(r.ilp for _, rep in sweep[1:] for r in rep.records)
         assert hi50 > hi10
+
+    def test_every_range_checked_before_any_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "_run_trial",
+                            lambda config, trial: calls.append(trial))
+        with pytest.raises(InvalidSizeError, match="got 1..0"):
+            run_demand_range_sweep(small(trials=50), [10, 0])
+        assert calls == []

@@ -159,6 +159,11 @@ class TestInstanceIO:
     def test_not_json(self):
         with pytest.raises(InstanceFormatError, match="not valid JSON"):
             load_instance("{nope")
+        with pytest.raises(InstanceFormatError, match="utf-8"):
+            load_instance(b"\xff{")
+        # json.loads raises a plain ValueError for ints over 4300 digits
+        with pytest.raises(InstanceFormatError, match="not valid JSON"):
+            load_instance('{"nodes": ' + "1" * 5000 + "}")
 
     def test_missing_key(self):
         with pytest.raises(InstanceFormatError, match="missing required key"):

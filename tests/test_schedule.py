@@ -64,6 +64,9 @@ def test_json_booleans_are_not_numbers(text, field):
     '{"entries": [{"links": [[1, 2, 3]], "slots": 1}]}',
     '{"entries": [{"links": [[1, 2.0]], "slots": 1}]}',
     '[]',
+    b"\xff{",
+    pytest.param('{"entries": [], "total": ' + "1" * 5000 + "}",
+                 id="total-over-int-digit-limit"),
 ])
 def test_malformed_documents_rejected(text):
     with pytest.raises(ScheduleFormatError):
