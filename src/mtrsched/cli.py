@@ -23,9 +23,9 @@ from fractions import Fraction
 from . import __version__, bipartite, experiments, metrics
 from .conflict import SizeLimitError
 from .exact import solve_ilp, solve_lp, solve_mis_suboptimal
-from .model import (InstanceFormatError, InvalidSizeError, gen_complete,
-                    gen_demands, gen_grid, gen_linear, gen_random, gen_ring,
-                    load_instance, save_instance, Instance)
+from .model import (TOPOLOGIES, InstanceFormatError, InvalidSizeError,
+                    gen_demands, gen_fixed_topology, gen_random, load_instance,
+                    save_instance, Instance)
 from .schedule import ScheduleFormatError, schedule_from_json, schedule_to_json
 
 EXIT_OK = 0
@@ -33,7 +33,7 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 
-_SOLVERS = ("hwf", "mdf", "hwf-mdf", "exact", "lp", "mis2p", "bipartite")
+_SOLVERS = (*experiments.ALGORITHMS, "exact", "lp", "mis2p", "bipartite")
 
 
 class _UsageError(Exception):
@@ -50,8 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance file")
-    gen.add_argument("--topology", required=True,
-                     choices=["linear", "ring", "grid", "complete", "random"])
+    gen.add_argument("--topology", required=True, choices=TOPOLOGIES)
     gen.add_argument("--n", type=int, help="node count (non-grid topologies)")
     gen.add_argument("--rows", type=int, help="grid rows")
     gen.add_argument("--cols", type=int, help="grid columns")
@@ -85,8 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run a randomized campaign")
     exp.add_argument("--trials", type=int, required=True)
     exp.add_argument("--seed", type=int, required=True, help="master seed")
-    exp.add_argument("--topology", default="random",
-                     choices=["linear", "ring", "grid", "complete", "random"])
+    exp.add_argument("--topology", default="random", choices=TOPOLOGIES)
     exp.add_argument("--n", type=int, default=6)
     exp.add_argument("--rows", type=int, default=3)
     exp.add_argument("--cols", type=int, default=3)
@@ -130,19 +128,14 @@ def cmd_gen(args) -> int:
     if args.topology == "grid":
         _require(args.rows is not None and args.cols is not None,
                  "grid topology needs --rows and --cols")
-        network = gen_grid(args.rows, args.cols)
     else:
         _require(args.n is not None, f"--n is required for {args.topology}")
-        if args.topology == "linear":
-            network = gen_linear(args.n)
-        elif args.topology == "ring":
-            network = gen_ring(args.n)
-        elif args.topology == "complete":
-            network = gen_complete(args.n)
-        else:
-            _require(args.p is not None, "random topology needs --p")
-            _require(args.seed is not None, "random topology needs --seed")
-            network = gen_random(args.n, args.p, args.seed)
+    if args.topology == "random":
+        _require(args.p is not None, "random topology needs --p")
+        _require(args.seed is not None, "random topology needs --seed")
+        network = gen_random(args.n, args.p, args.seed)
+    else:
+        network = gen_fixed_topology(args.topology, args.n, args.rows, args.cols)
     if kind == "fixed":
         demands = tuple([lo] * len(network.links))
     else:
@@ -260,11 +253,10 @@ def cmd_experiment(args) -> int:
         demand_lo=lo, demand_hi=hi, symmetric=args.symmetric,
         algorithms=tuple(a.strip() for a in args.algorithms.split(",") if a.strip()),
         jobs=args.jobs)
-    if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
 
     if args.demand_ranges:
+        _require(not args.out_json, "--out-json is not written for a "
+                 "--demand-ranges sweep; use --out-csv")
         try:
             his = [int(x) for x in args.demand_ranges.split(",")]
         except ValueError:

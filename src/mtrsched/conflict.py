@@ -86,8 +86,10 @@ def _to_mask(cg: ConflictGraph, links: Iterable[Link]) -> int:
 
 
 def _mask_bits(mask: int) -> tuple[int, ...]:
-    """The set bits of a mask in ascending order: the one decoder every
-    link and node bitmask goes through."""
+    """The set bits of a mask in ascending order.  The conflict and exact
+    layers decode every link and node mask through it; ``heuristics._greedy``
+    decodes its rounds inline, where a call per round costs greedy
+    throughput."""
     bits = []
     while mask:
         b = mask & -mask

@@ -230,8 +230,6 @@ def _covering_lp(col_masks: list[int], n_rows: int, demands: Sequence[int],
         rhs.append(Fraction(demands[i]))
     if bounds:
         for j, (lo, hi) in sorted(bounds.items()):
-            if hi is not None and lo > hi:
-                return None
             if lo > 0:
                 row = [_ZERO] * k
                 row[j] = _ONE
@@ -254,10 +252,7 @@ def solve_lp(instance: Instance, cap: int = DEFAULT_LINK_CAP) -> LpSolution:
     masks = enumerate_maximal_matching_masks(
         build_conflict_graph(instance.network), cap)
     matchings = tuple(mask_to_links(instance.network, m) for m in masks)
-    n = len(instance.network.links)
-    if n == 0:
-        return LpSolution(_ZERO, tuple(_ZERO for _ in masks), matchings)
-    obj, x = _covering_lp(masks, n, instance.demands)
+    obj, x = _covering_lp(masks, len(instance.network.links), instance.demands)
     return LpSolution(obj, tuple(x), matchings)
 
 

@@ -19,16 +19,17 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import heuristics
 from .conflict import DEFAULT_LINK_CAP, SizeLimitError
 from .exact import solve_ilp
 from .metrics import cost_penalty
-from .model import (Instance, Network, _check_demand_range,
+from .model import (TOPOLOGIES, Instance, Network, _check_demand_range,
                     _check_random_topology, _random_demands, _random_network,
-                    gen_complete, gen_grid, gen_linear, gen_ring)
+                    gen_fixed_topology)
 
 __all__ = ["ALGORITHMS", "ExperimentConfig", "TrialRecord",
            "AlgorithmSummary", "ExperimentReport", "run_experiment",
@@ -51,7 +52,7 @@ class _ConfigError(ValueError):
 class ExperimentConfig:
     trials: int
     master_seed: int
-    topology: str = "random"  # random | linear | ring | grid | complete
+    topology: str = "random"  # one of model.TOPOLOGIES
     nodes: int = 6
     edge_prob: float = 0.5
     rows: int = 3
@@ -85,42 +86,34 @@ class AlgorithmSummary:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """A campaign's trial records; every aggregate is derived from them."""
+
     config: ExperimentConfig
     records: tuple[TrialRecord, ...]
-    summaries: dict[str, AlgorithmSummary] = field(default_factory=dict)
-    ilp_mean_runtime: float = 0.0
 
-    @staticmethod
-    def build(config: ExperimentConfig,
-              records: tuple[TrialRecord, ...]) -> "ExperimentReport":
+    @cached_property
+    def summaries(self) -> dict[str, AlgorithmSummary]:
         summaries = {}
-        n = len(records)
-        for alg in config.algorithms:
-            penalties = [r.penalties[alg] for r in records]
+        n = len(self.records)
+        for alg in self.config.algorithms:
+            penalties = [r.penalties[alg] for r in self.records]
             summaries[alg] = AlgorithmSummary(
                 optimal=sum(1 for p in penalties if p == 0),
                 within_10pct=sum(1 for p in penalties if p <= 10),
                 mean_penalty=sum(penalties, Fraction(0)) / n,
-                mean_runtime=sum(r.runtimes[alg] for r in records) / n,
+                mean_runtime=sum(r.runtimes[alg] for r in self.records) / n,
             )
-        ilp_rt = sum(r.runtimes["ilp"] for r in records) / n
-        return ExperimentReport(config, records, summaries, ilp_rt)
+        return summaries
+
+    @cached_property
+    def ilp_mean_runtime(self) -> float:
+        return sum(r.runtimes["ilp"] for r in self.records) / len(self.records)
 
     def to_json(self) -> str:
         doc = {
-            "config": {
-                "trials": self.config.trials,
-                "master_seed": self.config.master_seed,
-                "topology": self.config.topology,
-                "nodes": self.config.nodes,
-                "edge_prob": self.config.edge_prob,
-                "rows": self.config.rows,
-                "cols": self.config.cols,
-                "demand_lo": self.config.demand_lo,
-                "demand_hi": self.config.demand_hi,
-                "symmetric": self.config.symmetric,
-                "algorithms": list(self.config.algorithms),
-            },
+            "config": {f.name: getattr(self.config, f.name)
+                       for f in dataclasses.fields(self.config)
+                       if f.name != "jobs"},
             "trials": len(self.records),
             "fractional_gap_trials": sum(1 for r in self.records
                                          if r.lp != r.ilp),
@@ -174,17 +167,10 @@ def _trial_seed(master_seed: int, trial: int, attempt: int) -> int:
 
 
 def _fixed_network(config: ExperimentConfig) -> Network | None:
-    if config.topology == "linear":
-        return gen_linear(config.nodes)
-    if config.topology == "ring":
-        return gen_ring(config.nodes)
-    if config.topology == "grid":
-        return gen_grid(config.rows, config.cols)
-    if config.topology == "complete":
-        return gen_complete(config.nodes)
     if config.topology == "random":
         return None
-    raise _ConfigError(f"unknown topology {config.topology!r}")
+    return gen_fixed_topology(config.topology, config.nodes, config.rows,
+                              config.cols)
 
 
 def _max_links(config: ExperimentConfig) -> int:
@@ -201,6 +187,8 @@ def _check_config(config: ExperimentConfig) -> None:
     for alg in config.algorithms:
         if alg not in ALGORITHMS:
             raise _ConfigError(f"unknown algorithm {alg!r}")
+    if config.topology not in TOPOLOGIES:
+        raise _ConfigError(f"unknown topology {config.topology!r}")
     if config.topology == "random":
         # gen_random's domain; an empty network (p = 0) is a valid
         # instance there, but here every trial would be regenerated
@@ -223,8 +211,9 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
         if network.links:
             break
     else:
-        raise RuntimeError(f"trial {trial}: no non-empty network "
-                           f"in {_MAX_REGEN_ATTEMPTS} attempts")
+        raise _ConfigError(f"trial {trial}: no non-empty network in "
+                           f"{_MAX_REGEN_ATTEMPTS} draws with nodes="
+                           f"{config.nodes}, edge_prob={config.edge_prob}")
     demands = _random_demands(network, config.demand_lo, config.demand_hi,
                               config.symmetric, rng)
     instance = Instance(network, demands)
@@ -264,7 +253,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     else:
         records = [_run_trial(config, k) for k in range(config.trials)]
     records.sort(key=lambda r: r.trial)
-    return ExperimentReport.build(config, tuple(records))
+    return ExperimentReport(config, tuple(records))
 
 
 def run_demand_range_sweep(config: ExperimentConfig,

@@ -25,15 +25,20 @@ __all__ = [
     "Instance",
     "InvalidSizeError",
     "InstanceFormatError",
+    "TOPOLOGIES",
     "gen_linear",
     "gen_ring",
     "gen_grid",
     "gen_complete",
     "gen_random",
+    "gen_fixed_topology",
     "gen_demands",
     "load_instance",
     "save_instance",
 ]
+
+
+TOPOLOGIES = ("linear", "ring", "grid", "complete", "random")
 
 
 class InvalidSizeError(ValueError):
@@ -173,6 +178,15 @@ def gen_complete(n: int) -> Network:
     return Network(n, [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)])
 
 
+def gen_fixed_topology(topology: str, n: int, rows: int, cols: int) -> Network:
+    """The named non-random topology: ``grid`` takes rows x cols, the
+    others n nodes."""
+    if topology == "grid":
+        return gen_grid(rows, cols)
+    return {"linear": gen_linear, "ring": gen_ring,
+            "complete": gen_complete}[topology](n)
+
+
 def gen_random(n: int, p: float, seed: int) -> Network:
     """Each unordered node pair becomes an edge independently with
     probability p.  Isolated nodes are kept; they simply carry no links.
@@ -238,31 +252,35 @@ def save_instance(instance: Instance) -> str:
     return json.dumps(doc)
 
 
-def _json_int(v) -> bool:
-    # bool is a subclass of int; JSON true/false is not a number here
-    return isinstance(v, int) and not isinstance(v, bool)
+def _parse_json(text: str | bytes, error_cls: type[ValueError]):
+    """Decode a UTF-8 JSON document, raising ``error_cls`` for anything
+    that is not one."""
+    try:  # bad UTF-8, bad JSON and over-long ints raise ValueError,
+        # deeply nested arrays or objects RecursionError
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:
+        raise error_cls(f"not valid JSON: {exc}") from None
 
 
 def load_instance(text: str | bytes) -> Instance:
-    """Parse an instance document; inverse of save_instance."""
-    try:  # bad UTF-8, bad JSON and over-long ints all raise ValueError
-        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
-    except ValueError as exc:
-        raise InstanceFormatError(f"not valid JSON: {exc}") from None
+    """Parse an instance document; inverse of save_instance.  Counts and
+    node ids must be JSON integers: ``type(v) is int`` refuses
+    ``true``/``false``."""
+    doc = _parse_json(text, InstanceFormatError)
     if not isinstance(doc, dict):
         raise InstanceFormatError("top-level document must be an object")
     for key in ("nodes", "edges", "demands"):
         if key not in doc:
             raise InstanceFormatError(f"missing required key {key!r}")
     nodes = doc["nodes"]
-    if not _json_int(nodes) or nodes < 1:
+    if type(nodes) is not int or nodes < 1:
         raise InstanceFormatError(f"'nodes' must be a positive integer, got {nodes!r}")
     if not isinstance(doc["edges"], list):
         raise InstanceFormatError("'edges' must be a list of node pairs")
     edges = []
     for e in doc["edges"]:
         if (not isinstance(e, list) or len(e) != 2
-                or not all(_json_int(v) for v in e)):
+                or type(e[0]) is not int or type(e[1]) is not int):
             raise InstanceFormatError(f"edge entries must be [a, b] integer pairs, got {e!r}")
         edges.append((e[0], e[1]))
     network = Network(nodes, edges)
@@ -280,7 +298,7 @@ def load_instance(text: str | bytes) -> Instance:
         if demands[i] != -1:
             raise InstanceFormatError(f"duplicate demand record for link {link}")
         d = rec["d"]
-        if not _json_int(d) or d < 0:
+        if type(d) is not int or d < 0:
             raise InstanceFormatError(f"demand for link {link} must be a "
                                       f"non-negative integer, got {d!r}")
         demands[i] = d

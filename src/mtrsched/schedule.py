@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .model import Link
+from .model import Link, _parse_json
 
 __all__ = ["ScheduleEntry", "Schedule", "ScheduleFormatError",
            "schedule_to_json", "schedule_from_json"]
@@ -52,11 +52,8 @@ def schedule_to_json(schedule: Schedule) -> str:
 def schedule_from_json(text: str | bytes) -> Schedule:
     """Parse a schedule document; inverse of schedule_to_json.  Node ids
     and slot counts must be JSON integers: ``true``/``false`` are refused
-    (``type(v) is int`` excludes bool, as ``model._json_int`` does)."""
-    try:  # bad UTF-8, bad JSON and over-long ints all raise ValueError
-        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
-    except ValueError as exc:
-        raise ScheduleFormatError(f"not valid JSON: {exc}") from None
+    (``type(v) is int`` excludes bool, as in ``model.load_instance``)."""
+    doc = _parse_json(text, ScheduleFormatError)
     if type(doc) is not dict or type(doc.get("entries")) is not list:
         raise ScheduleFormatError("schedule document must be an object with "
                                   "an 'entries' list")

@@ -1,6 +1,7 @@
 """Straightforward reference implementations that the fast paths of the
 package must match exactly: the pairwise conflict-mask build, maximal
-independent sets by filtering all vertex subsets, the greedy kernel with
+independent sets by filtering all vertex subsets, the directed cuts that
+the maximal matchings must equal, the greedy kernel with
 explicit sort keys and per-round degree recomputation, and schedule
 validation by pairwise conflict scan and per-link coverage sums.
 """
@@ -45,6 +46,15 @@ def maximal_independent_sets(adj):
                    if not (m >> v) & 1):
             out.append(m)
     return sorted(out)
+
+
+def directed_cuts(network):
+    """Every link set T -> V \\ T, one per node set T.  A link set is a
+    matching iff its transmitters and receivers are disjoint, so each cut
+    is a matching and the maximal matchings are the inclusion-maximal cuts."""
+    return {frozenset((a, b) for a, b in network.links
+                      if t >> (a - 1) & 1 and not t >> (b - 1) & 1)
+            for t in range(1 << network.node_count)}
 
 
 def greedy_rounds(demands, adj, mode):

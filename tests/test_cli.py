@@ -3,7 +3,7 @@ import json
 import pytest
 
 import mtrsched
-from mtrsched import cli
+from mtrsched import cli, experiments
 from mtrsched.cli import main
 from mtrsched.exact import solve_ilp
 from mtrsched.model import Instance, gen_linear, load_instance, save_instance
@@ -188,6 +188,13 @@ class TestSolve:
         assert code == 2
         assert "not valid JSON" in err
 
+    def test_deeply_nested_instance_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_bytes(b"[" * 100000)
+        code, _, err = run(capsys, "solve", "--alg", "hwf", str(path))
+        assert code == 2
+        assert "not valid JSON" in err
+
     def test_exact_penalty_solves_once(self, capsys, monkeypatch, grid_asym):
         calls = []
 
@@ -250,6 +257,15 @@ class TestValidate:
         code, stdout, stderr = run(capsys, "validate", str(inst), str(sched))
         assert code == 1
         assert "[tx, rx] pairs" in stderr
+
+    def test_deeply_nested_schedule_rejected(self, capsys, tmp_path):
+        inst = tmp_path / "l2.json"
+        inst.write_text(save_instance(Instance(gen_linear(2), (1, 1))))
+        sched = tmp_path / "deep.json"
+        sched.write_bytes(b"[" * 100000)
+        code, _, stderr = run(capsys, "validate", str(inst), str(sched))
+        assert code == 1
+        assert "error: not valid JSON" in stderr
 
     def test_non_utf8_schedule_rejected(self, capsys, tmp_path):
         inst = tmp_path / "l2.json"
@@ -315,6 +331,25 @@ class TestExperiment:
                            "--n", n, "--p", p, "--symmetric")
         assert code == 2
         assert "n >= 2" in err or "[0, 1]" in err
+
+    def test_sweep_out_json_usage_error(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(experiments, "_run_trial",
+                            lambda config, trial: calls.append(trial))
+        out = tmp_path / "sweep.json"
+        code, _, err = run(capsys, "experiment", "--trials", "2", "--seed", "1",
+                           "--n", "4", "--demand-ranges", "10,20", "--symmetric",
+                           "--out-json", str(out))
+        assert code == 2
+        assert "--out-json" in err
+        assert calls == [] and not out.exists()
+
+    def test_only_empty_networks_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "_MAX_REGEN_ATTEMPTS", 3)
+        code, _, err = run(capsys, "experiment", "--trials", "1", "--seed", "1",
+                           "--n", "4", "--p", "1e-300", "--symmetric")
+        assert code == 2
+        assert "nodes=4" in err and "edge_prob=1e-300" in err
 
     def test_non_integer_demand_ranges_usage_error(self, capsys):
         code, _, err = run(capsys, "experiment", "--trials", "2", "--seed", "1",

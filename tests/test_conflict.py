@@ -170,6 +170,15 @@ class TestEnumeration:
         with pytest.raises(SizeLimitError):
             enumerate_mis_node_masks(gen_complete(9))
 
+    def test_maximal_matchings_are_maximal_directed_cuts(self):
+        # an oracle that shares no code with Bron-Kerbosch
+        for net in all_networks(5):
+            cuts = reference.directed_cuts(net)
+            maximal = {c for c in cuts if not any(c < d for d in cuts)}
+            found = enumerate_maximal_matchings(build_conflict_graph(net))
+            assert len(found) == len(maximal)
+            assert set(found) == maximal
+
     def test_maximal_independent_sets_match_naive(self):
         rng = random.Random(3)
         for _ in range(300):

@@ -14,6 +14,7 @@ from mtrsched.model import (Instance, gen_complete, gen_grid, gen_linear,
                             gen_ring)
 
 from helpers import all_networks, random_instance
+from reference import directed_cuts
 
 F = Fraction
 
@@ -81,6 +82,32 @@ class TestSimplex:
                 b_ub=[-b for b in rhs], method="highs")
             assert res.success
             assert abs(float(obj) - res.fun) < 1e-7 * max(1.0, res.fun)
+
+
+class TestScipyOracle:
+    def test_ilp_and_root_lp_match_highs(self):
+        # HiGHS shares no code with the solver, and neither do the columns:
+        # every maximal matching is a directed cut and every cut a matching,
+        # so covering with all cuts has the same optima
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        rng = random.Random(606)
+        for k in range(120):
+            inst = random_instance(rng, allow_zero=k % 4 == 0)
+            net = inst.network
+            cuts = directed_cuts(net) - {frozenset()}
+            cover = [[1 if link in c else 0 for c in cuts] for link in net.links]
+            cost = [1] * len(cuts)
+            sol = solve_ilp(inst)
+            ilp = scipy_opt.milp(
+                cost, integrality=[1] * len(cuts),
+                constraints=scipy_opt.LinearConstraint(cover, lb=inst.demands))
+            assert ilp.success
+            assert sol.objective == round(ilp.fun)
+            lp = scipy_opt.linprog(
+                cost, A_ub=[[-a for a in row] for row in cover],
+                b_ub=[-d for d in inst.demands], method="highs")
+            assert lp.success
+            assert abs(float(sol.lp_objective) - lp.fun) < 1e-6
 
 
 class TestSolveLp:

@@ -93,6 +93,16 @@ class TestRunExperiment:
         with pytest.raises(SizeLimitError):
             run_experiment(small(topology="complete", nodes=7))
 
+    def test_only_empty_draws_refused(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_MAX_REGEN_ATTEMPTS", 3)
+        with pytest.raises(experiments._ConfigError,
+                           match="nodes=4, edge_prob=1e-300"):
+            run_experiment(small(trials=1, nodes=4, edge_prob=1e-300))
+
+    def test_unknown_topology(self):
+        with pytest.raises(experiments._ConfigError, match="unknown topology"):
+            run_experiment(small(topology="torus"))
+
     def test_zero_probability_refused(self):
         with pytest.raises(ValueError, match="edge_prob"):
             run_experiment(small(edge_prob=0.0))

@@ -164,6 +164,9 @@ class TestInstanceIO:
         # json.loads raises a plain ValueError for ints over 4300 digits
         with pytest.raises(InstanceFormatError, match="not valid JSON"):
             load_instance('{"nodes": ' + "1" * 5000 + "}")
+        # and RecursionError for deep nesting
+        with pytest.raises(InstanceFormatError, match="not valid JSON"):
+            load_instance(b"[" * 100000)
 
     def test_missing_key(self):
         with pytest.raises(InstanceFormatError, match="missing required key"):

@@ -67,6 +67,7 @@ def test_json_booleans_are_not_numbers(text, field):
     b"\xff{",
     pytest.param('{"entries": [], "total": ' + "1" * 5000 + "}",
                  id="total-over-int-digit-limit"),
+    pytest.param(b"[" * 100000, id="nested-100000-deep"),
 ])
 def test_malformed_documents_rejected(text):
     with pytest.raises(ScheduleFormatError):
