@@ -12,6 +12,7 @@ links or nodes only for the solution they return.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,149 +73,94 @@ class MisSolution:
     node_sets: tuple[frozenset[int], ...]
 
 
-class _Infeasible(Exception):
-    pass
-
-
 def _simplex_min_ge(cost: list[Fraction], rows: list[list[Fraction]],
-                    rhs: list[Fraction]) -> tuple[Fraction, list[Fraction]]:
-    """Minimize cost.x subject to rows.x >= rhs, x >= 0, exactly.
+                    rhs: list[Fraction]) -> tuple[Fraction, list[Fraction]] | None:
+    """Minimize cost.x subject to rows.x >= rhs, x >= 0, exactly; None
+    when the constraints admit no solution.
 
-    Full-tableau two-phase simplex.  Entering column by most negative
-    reduced cost, switching to Bland's rule after a pivot budget so
-    degenerate tableaus cannot cycle.  Raises _Infeasible when the
-    constraints admit no solution.
+    Two-phase simplex on one augmented tableau.  Its m constraint rows
+    span the n structural columns, one surplus column per row, one
+    artificial column per row with rhs > 0, and the right-hand side as the
+    last column; below them sit the phase-2 and the phase-1 reduced-cost
+    rows, which every pivot updates with the rest (the phase-1 row until
+    phase 1 ends).  Row i reads
+    a.x - s_i + t_i = b (artificial t_i basic) when b > 0, else
+    -a.x + s_i = -b (surplus s_i basic).  Every row owns a surplus column
+    no other row touches, so the rows are independent: a basic artificial
+    left after phase 1 always has a nonzero structural or surplus entry
+    to pivot on.
+
+    Entering column: most negative reduced cost, lowest index on ties,
+    switching to Bland's rule (lowest negative index) after
+    3*(columns+m)+10 pivots per phase so degenerate tableaus cannot
+    cycle.  Leaving row: minimum ratio, lower basic column on ties.
     """
     m = len(rows)
     n = len(cost)
-    if m == 0:
-        return _ZERO, [_ZERO] * n
-
-    # a.x >= b  becomes  a.x - s = b.  Rows with b <= 0 are negated so the
-    # surplus variable itself can start basic; rows with b > 0 get an
-    # artificial variable instead.
-    ncols = n + m
-    art_of_row: dict[int, int] = {}
-    for i in range(m):
-        if rhs[i] > 0:
-            art_of_row[i] = ncols
-            ncols += 1
+    arts = [i for i in range(m) if rhs[i] > 0]
+    ncols = n + m + len(arts)
     tab: list[list[Fraction]] = []
-    b: list[Fraction] = []
     basis: list[int] = []
     for i in range(m):
-        row = [_ZERO] * ncols
-        if rhs[i] > 0:
-            for j in range(n):
-                row[j] = rows[i][j]
-            row[n + i] = -_ONE
-            row[art_of_row[i]] = _ONE
-            tab.append(row)
-            b.append(rhs[i])
-            basis.append(art_of_row[i])
-        else:
-            for j in range(n):
-                row[j] = -rows[i][j]
-            row[n + i] = _ONE
-            tab.append(row)
-            b.append(-rhs[i])
-            basis.append(n + i)
+        pos = rhs[i] > 0
+        row = [a if pos else -a for a in rows[i]] + [_ZERO] * (ncols - n + 1)
+        row[n + i] = -_ONE if pos else _ONE
+        row[-1] = rhs[i] if pos else -rhs[i]
+        tab.append(row)
+        basis.append(n + i)
+    for k, i in enumerate(arts, n + m):
+        tab[i][k] = _ONE
+        basis[i] = k
+    phase2 = list(cost) + [_ZERO] * (ncols - n + 1)
+    phase1 = [_ZERO] * (n + m) + [_ONE] * len(arts) + [_ZERO]
+    for i in arts:
+        for k, a in enumerate(tab[i]):
+            if a:
+                phase1[k] -= a
+    tab += [phase2, phase1]
 
-    def pivot(pr: int, pc: int, red: list[Fraction]) -> None:
+    def pivot(pr: int, pc: int) -> None:
         prow = tab[pr]
+        nz = [k for k, a in enumerate(prow) if a]
         inv = _ONE / prow[pc]
         if inv != 1:
-            for k in range(ncols):
-                if prow[k]:
-                    prow[k] *= inv
-            b[pr] *= inv
-        for r in range(len(tab)):
-            if r == pr:
-                continue
-            factor = tab[r][pc]
-            if factor:
-                orow = tab[r]
-                for k in range(ncols):
-                    if prow[k]:
-                        orow[k] -= factor * prow[k]
-                b[r] -= factor * b[pr]
-        factor = red[pc]
-        if factor:
-            for k in range(ncols):
-                if prow[k]:
-                    red[k] -= factor * prow[k]
+            for k in nz:
+                prow[k] *= inv
+        for row in tab:
+            factor = row[pc]
+            if factor and row is not prow:
+                for k in nz:
+                    row[k] -= factor * prow[k]
         basis[pr] = pc
 
-    def run_phase(c: list[Fraction], banned_from: int) -> None:
-        red = list(c)
-        for i in range(len(tab)):
-            cb = c[basis[i]]
-            if cb:
-                row = tab[i]
-                for k in range(ncols):
-                    if row[k]:
-                        red[k] -= cb * row[k]
-        budget = 3 * (ncols + len(tab)) + 10
-        pivots = 0
-        while True:
-            pc = -1
-            if pivots < budget:
-                best = _ZERO
-                for j in range(banned_from):
-                    if red[j] < best:
-                        best = red[j]
-                        pc = j
-            else:  # Bland's rule: guaranteed finite
-                for j in range(banned_from):
-                    if red[j] < 0:
-                        pc = j
-                        break
-            if pc < 0:
+    def run_phase(red: list[Fraction], banned_from: int) -> None:
+        budget = 3 * (ncols + m) + 10
+        for pivots in itertools.count():
+            neg = [j for j in range(banned_from) if red[j] < 0]
+            if not neg:
                 return
-            pr = -1
-            ratio = None
-            for i in range(len(tab)):
-                a = tab[i][pc]
-                if a > 0:
-                    r = b[i] / a
-                    if ratio is None or r < ratio or (r == ratio and basis[i] < basis[pr]):
-                        ratio = r
-                        pr = i
-            if pr < 0:
+            # Bland's rule once over budget: guaranteed finite
+            pc = min(neg, key=red.__getitem__) if pivots < budget else neg[0]
+            ratios = [(tab[i][-1] / tab[i][pc], basis[i], i)
+                      for i in range(m) if tab[i][pc] > 0]
+            if not ratios:
                 raise RuntimeError("unbounded program; covering LPs cannot do this")
-            pivot(pr, pc, red)
-            pivots += 1
+            pivot(min(ratios)[2], pc)
 
-    n_art = ncols - n - m
-    if n_art:
-        phase1_cost = [_ZERO] * (n + m) + [_ONE] * n_art
-        run_phase(phase1_cost, ncols)
-        total = sum((b[i] for i in range(len(tab)) if basis[i] >= n + m), _ZERO)
-        if total != 0:
-            raise _Infeasible
-        # drive leftover (degenerate, value-0) artificials out of the basis
-        for i in range(len(tab) - 1, -1, -1):
-            if basis[i] < n + m:
-                continue
-            row = tab[i]
-            for j in range(n + m):
-                if row[j]:
-                    pivot(i, j, [_ZERO] * ncols)
-                    break
-            else:  # redundant constraint
-                del tab[i]
-                del b[i]
-                del basis[i]
-
-    phase2_cost = list(cost) + [_ZERO] * (ncols - n)
-    run_phase(phase2_cost, n + m)
+    run_phase(phase1, ncols)
+    if tab.pop()[-1]:  # phase 1's row ends in minus the artificials' sum
+        return None
+    # drive leftover (degenerate, value-0) artificials out of the basis
+    for i in range(m - 1, -1, -1):
+        if basis[i] >= n + m:
+            pivot(i, next(j for j in range(n + m) if tab[i][j]))
+    run_phase(phase2, n + m)
 
     x = [_ZERO] * n
-    for i in range(len(tab)):
+    for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = b[i]
-    objective = sum((cost[j] * x[j] for j in range(n) if x[j]), _ZERO)
-    return objective, x
+            x[basis[i]] = tab[i][-1]
+    return -phase2[-1], x
 
 
 def _covering_lp(col_masks: list[int], n_rows: int, demands: Sequence[int],
@@ -240,10 +186,7 @@ def _covering_lp(col_masks: list[int], n_rows: int, demands: Sequence[int],
                 row[j] = -_ONE
                 rows.append(row)
                 rhs.append(Fraction(-hi))
-    try:
-        return _simplex_min_ge([_ONE] * k, rows, rhs)
-    except _Infeasible:
-        return None
+    return _simplex_min_ge([_ONE] * k, rows, rhs)
 
 
 def solve_lp(instance: Instance, cap: int = DEFAULT_LINK_CAP) -> LpSolution:

@@ -55,11 +55,12 @@ class Network:
     __slots__ = ("node_count", "edges", "links", "_index", "_neighbors")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]]):
-        if node_count < 1:
-            raise InvalidSizeError(f"node_count must be >= 1, got {node_count}")
+        if type(node_count) is not int or node_count < 1:
+            raise InvalidSizeError(f"node_count must be an integer >= 1, "
+                                   f"got {node_count!r}")
         seen: set[tuple[int, int]] = set()
         for a, b in edges:
-            if not (isinstance(a, int) and isinstance(b, int)):
+            if not (type(a) is int and type(b) is int):  # refuses bool
                 raise InstanceFormatError(f"edge endpoints must be integers: ({a!r}, {b!r})")
             if a == b:
                 raise InstanceFormatError(f"self-loop edge at node {a}")
@@ -123,7 +124,7 @@ class Instance:
                 f"demand vector length {len(self.demands)} does not match "
                 f"link count {len(self.network.links)}")
         for link, d in zip(self.network.links, self.demands):
-            if not isinstance(d, int) or d < 0:
+            if type(d) is not int or d < 0:  # refuses bool
                 raise InstanceFormatError(f"demand for link {link} must be a "
                                           f"non-negative integer, got {d!r}")
 

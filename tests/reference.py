@@ -2,9 +2,13 @@
 package must match exactly: the pairwise conflict-mask build, maximal
 independent sets by filtering all vertex subsets, the directed cuts that
 the maximal matchings must equal, the greedy kernel with
-explicit sort keys and per-round degree recomputation, and schedule
-validation by pairwise conflict scan and per-link coverage sums.
+explicit sort keys and per-round degree recomputation, schedule
+validation by pairwise conflict scan and per-link coverage sums, and
+the Fraction two-phase simplex as it was before its rewrite into one
+augmented tableau.
 """
+
+from fractions import Fraction
 
 from mtrsched.heuristics import HWF, MDF
 from mtrsched.metrics import Violation
@@ -142,3 +146,161 @@ def validate_schedule(instance, schedule):
                 f"link {link} gets {covered} of {demand} demanded slots",
                 links=(link,)))
     return out
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class _Infeasible(Exception):
+    pass
+
+
+def _raising_simplex_min_ge(cost: list[Fraction], rows: list[list[Fraction]],
+                            rhs: list[Fraction]) -> tuple[Fraction, list[Fraction]]:
+    """Minimize cost.x subject to rows.x >= rhs, x >= 0, exactly.
+
+    Full-tableau two-phase simplex.  Entering column by most negative
+    reduced cost, switching to Bland's rule after a pivot budget so
+    degenerate tableaus cannot cycle.  Raises _Infeasible when the
+    constraints admit no solution.
+    """
+    m = len(rows)
+    n = len(cost)
+    if m == 0:
+        return _ZERO, [_ZERO] * n
+
+    # a.x >= b  becomes  a.x - s = b.  Rows with b <= 0 are negated so the
+    # surplus variable itself can start basic; rows with b > 0 get an
+    # artificial variable instead.
+    ncols = n + m
+    art_of_row: dict[int, int] = {}
+    for i in range(m):
+        if rhs[i] > 0:
+            art_of_row[i] = ncols
+            ncols += 1
+    tab: list[list[Fraction]] = []
+    b: list[Fraction] = []
+    basis: list[int] = []
+    for i in range(m):
+        row = [_ZERO] * ncols
+        if rhs[i] > 0:
+            for j in range(n):
+                row[j] = rows[i][j]
+            row[n + i] = -_ONE
+            row[art_of_row[i]] = _ONE
+            tab.append(row)
+            b.append(rhs[i])
+            basis.append(art_of_row[i])
+        else:
+            for j in range(n):
+                row[j] = -rows[i][j]
+            row[n + i] = _ONE
+            tab.append(row)
+            b.append(-rhs[i])
+            basis.append(n + i)
+
+    def pivot(pr: int, pc: int, red: list[Fraction]) -> None:
+        prow = tab[pr]
+        inv = _ONE / prow[pc]
+        if inv != 1:
+            for k in range(ncols):
+                if prow[k]:
+                    prow[k] *= inv
+            b[pr] *= inv
+        for r in range(len(tab)):
+            if r == pr:
+                continue
+            factor = tab[r][pc]
+            if factor:
+                orow = tab[r]
+                for k in range(ncols):
+                    if prow[k]:
+                        orow[k] -= factor * prow[k]
+                b[r] -= factor * b[pr]
+        factor = red[pc]
+        if factor:
+            for k in range(ncols):
+                if prow[k]:
+                    red[k] -= factor * prow[k]
+        basis[pr] = pc
+
+    def run_phase(c: list[Fraction], banned_from: int) -> None:
+        red = list(c)
+        for i in range(len(tab)):
+            cb = c[basis[i]]
+            if cb:
+                row = tab[i]
+                for k in range(ncols):
+                    if row[k]:
+                        red[k] -= cb * row[k]
+        budget = 3 * (ncols + len(tab)) + 10
+        pivots = 0
+        while True:
+            pc = -1
+            if pivots < budget:
+                best = _ZERO
+                for j in range(banned_from):
+                    if red[j] < best:
+                        best = red[j]
+                        pc = j
+            else:  # Bland's rule: guaranteed finite
+                for j in range(banned_from):
+                    if red[j] < 0:
+                        pc = j
+                        break
+            if pc < 0:
+                return
+            pr = -1
+            ratio = None
+            for i in range(len(tab)):
+                a = tab[i][pc]
+                if a > 0:
+                    r = b[i] / a
+                    if ratio is None or r < ratio or (r == ratio and basis[i] < basis[pr]):
+                        ratio = r
+                        pr = i
+            if pr < 0:
+                raise RuntimeError("unbounded program; covering LPs cannot do this")
+            pivot(pr, pc, red)
+            pivots += 1
+
+    n_art = ncols - n - m
+    if n_art:
+        phase1_cost = [_ZERO] * (n + m) + [_ONE] * n_art
+        run_phase(phase1_cost, ncols)
+        total = sum((b[i] for i in range(len(tab)) if basis[i] >= n + m), _ZERO)
+        if total != 0:
+            raise _Infeasible
+        # drive leftover (degenerate, value-0) artificials out of the basis
+        for i in range(len(tab) - 1, -1, -1):
+            if basis[i] < n + m:
+                continue
+            row = tab[i]
+            for j in range(n + m):
+                if row[j]:
+                    pivot(i, j, [_ZERO] * ncols)
+                    break
+            else:  # redundant constraint
+                del tab[i]
+                del b[i]
+                del basis[i]
+
+    phase2_cost = list(cost) + [_ZERO] * (ncols - n)
+    run_phase(phase2_cost, n + m)
+
+    x = [_ZERO] * n
+    for i in range(len(tab)):
+        if basis[i] < n:
+            x[basis[i]] = b[i]
+    objective = sum((cost[j] * x[j] for j in range(n) if x[j]), _ZERO)
+    return objective, x
+
+
+def _simplex_min_ge(cost, rows, rhs):
+    """The copy above under the package's contract: None, not an
+    exception, when the constraints admit no solution."""
+    try:
+        return _raising_simplex_min_ge(cost, rows, rhs)
+    except _Infeasible:
+        return None

@@ -127,6 +127,17 @@ class TestSolve:
         assert code == 0
         assert stdout.splitlines()[0] == "5"
 
+    def test_exact_notes_fractional_relaxation(self, capsys, tmp_path):
+        path = tmp_path / "ring5.json"
+        code, _, _ = run(capsys, "gen", "--topology", "ring", "--n", "5",
+                         "--demand", "fixed:1", "--out", str(path))
+        assert code == 0
+        code, stdout, err = run(capsys, "solve", "--alg", "exact", str(path))
+        assert code == 0
+        assert stdout == "3\n"
+        assert err == ("note: fractional relaxation 5/2 (2.5000) is below "
+                       "the integer optimum 3\n")
+
     def test_bipartite_on_triangle_is_capability_error(self, capsys, tmp_path):
         doc = {"nodes": 3, "edges": [[1, 2], [1, 3], [2, 3]],
                "demands": [{"tx": 1, "rx": 2, "d": 1}, {"tx": 1, "rx": 3, "d": 1},
@@ -356,6 +367,18 @@ class TestExperiment:
                            "--n", "4", "--demand-ranges", "10,x", "--symmetric")
         assert code == 2
         assert "--demand-ranges" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--topology", "linear", "--n", "4", "--demand", "bogus"],
+    ["gen", "--topology", "linear", "--n", "4", "--demand", "uniform:1"],
+    ["experiment", "--trials", "2", "--seed", "1", "--symmetric",
+     "--demand", "fixed:x"],
+])
+def test_malformed_demand_spec_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "demand spec must be fixed:V or uniform:LO:HI" in err
 
 
 def test_usage_exit_code_from_argparse():

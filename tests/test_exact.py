@@ -14,7 +14,8 @@ from mtrsched.model import (Instance, gen_complete, gen_grid, gen_linear,
                             gen_ring)
 
 from helpers import all_networks, random_instance
-from reference import directed_cuts
+from reference import (_simplex_min_ge as reference_simplex, directed_cuts,
+                       maximal_independent_sets)
 
 F = Fraction
 
@@ -59,6 +60,47 @@ class TestSimplex:
         obj, x = _simplex_min_ge([F(1), F(1)], fr([[1, 1], [-1, 0]]),
                                  [F(4), F(-1)])
         assert obj == 4 and x[0] <= 1
+
+    def test_empty_program(self):
+        assert _simplex_min_ge([], [], []) == (0, [])
+
+    def test_matches_reference_on_random_rational_lps(self):
+        # the Fraction simplex as it stood before the one-tableau rewrite
+        # makes the same decisions, so (objective, x) and infeasibility
+        # agree exactly.  Beale's program cycles under the most-negative rule and
+        # needs the Bland fallback; min x st x <= 1, 2x >= 2 ends phase 1
+        # with an artificial basic at zero that must be driven out
+        rng = random.Random(2025)
+
+        def q(lo, hi):
+            if rng.random() < 0.3:
+                return F(0)
+            return F(rng.randint(lo, hi), rng.choice((1, 1, 2, 3)))
+
+        cases = [
+            ([F(-3, 4), F(150), F(-1, 50), F(6)],
+             fr([[F(-1, 4), 60, F(1, 25), -9], [F(-1, 2), 90, F(1, 50), -3],
+                 [0, 0, -1, 0]]),
+             [F(0), F(0), F(-1)]),
+            ([F(1)], fr([[-1], [2]]), [F(-1), F(2)]),
+        ]
+        for _ in range(1200):
+            m = rng.randint(0, 6)
+            n = rng.randint(0, 6)
+            rows = [[q(-3, 4) for _ in range(n)] for _ in range(m)]
+            rhs = [q(-4, 6) for _ in range(m)]
+            for _ in range(rng.randint(0, 2) if m else 0):
+                i = rng.randrange(len(rows))
+                rows.append(list(rows[i]))
+                rhs.append(rhs[i])
+            cases.append(([q(0, 4) for _ in range(n)], rows, rhs))
+        infeasible = empty = 0
+        for cost, rows, rhs in cases:
+            got = _simplex_min_ge(cost, rows, rhs)
+            assert got == reference_simplex(cost, rows, rhs)
+            infeasible += got is None
+            empty += not rows
+        assert infeasible >= 300 and empty >= 100
 
     def test_matches_scipy_on_random_covering(self):
         scipy_opt = pytest.importorskip("scipy.optimize")
@@ -108,6 +150,23 @@ class TestScipyOracle:
                 b_ub=[-d for d in inst.demands], method="highs")
             assert lp.success
             assert abs(float(sol.lp_objective) - lp.fun) < 1e-6
+            # mis2p: cover each node's largest outgoing demand with the
+            # maximal independent node sets
+            adj = [0] * net.node_count
+            for a, b in net.edges:
+                adj[a - 1] |= 1 << (b - 1)
+                adj[b - 1] |= 1 << (a - 1)
+            sets = maximal_independent_sets(adj)
+            need = [max((d for (tx, _), d in zip(net.links, inst.demands)
+                         if tx == v), default=0)
+                    for v in range(1, net.node_count + 1)]
+            mis = scipy_opt.linprog(
+                [1] * len(sets),
+                A_ub=[[-(s >> v & 1) for s in sets] for v in range(len(need))],
+                b_ub=[-t for t in need], method="highs")
+            assert mis.success
+            assert abs(float(solve_mis_suboptimal(inst).objective)
+                       - mis.fun) < 1e-6
 
 
 class TestSolveLp:

@@ -39,6 +39,14 @@ class TestNetwork:
         with pytest.raises(InstanceFormatError, match="outside node range"):
             Network(3, [(1, 4)])
 
+    def test_booleans_rejected(self):
+        # True == 1 would otherwise build the link (True, 2), or a network
+        # that save_instance writes as "nodes": true
+        with pytest.raises(InstanceFormatError, match="must be integers"):
+            Network(2, [(True, 2)])
+        with pytest.raises(InvalidSizeError, match="must be an integer"):
+            Network(True, [])
+
 
 class TestGenerators:
     def test_linear_six(self):
@@ -213,3 +221,11 @@ class TestInstanceIO:
     def test_demand_length_checked(self, four_node):
         with pytest.raises(InstanceFormatError, match="does not match"):
             Instance(four_node, (1, 2, 3))
+
+    def test_boolean_demand_rejected(self):
+        # True == 1 would otherwise reach save_instance, which writes
+        # "d": true that load_instance refuses, and hwf, which writes
+        # "slots": true
+        for demands in ((True, 1), (1, False)):
+            with pytest.raises(InstanceFormatError, match="non-negative integer"):
+                Instance(gen_linear(2), demands)
