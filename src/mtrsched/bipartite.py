@@ -105,10 +105,10 @@ def two_phase_schedule(instance: Instance, parts: Bipartition) -> Schedule:
             b_links.append(link)
             b_max = max(b_max, d)
     entries = []
-    if a_links:
-        entries.append(ScheduleEntry(tuple(sorted(a_links)), a_max))
+    if a_links:  # filtered from net.links, so already in canonical order
+        entries.append(ScheduleEntry(tuple(a_links), a_max))
     if b_links:
-        entries.append(ScheduleEntry(tuple(sorted(b_links)), b_max))
+        entries.append(ScheduleEntry(tuple(b_links), b_max))
     return Schedule(tuple(entries))
 
 

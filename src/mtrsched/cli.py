@@ -158,7 +158,6 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     instance = _load_instance_file(args.instance)
     alg = args.alg
-    out_doc = None
     if alg in experiments.ALGORITHMS:
         sched = experiments.ALGORITHMS[alg](instance)
         total = sched.total_slots
@@ -173,25 +172,19 @@ def cmd_solve(args) -> int:
                   f"is below the integer optimum {sol.objective}",
                   file=sys.stderr)
         out_doc = schedule_to_json(sol.schedule)
-    elif alg == "lp":
-        sol = solve_lp(instance)
+    elif alg in ("lp", "mis2p"):
+        if alg == "lp":
+            sol = solve_lp(instance)
+            key, sets = "links", sol.matchings  # links encode as [tx, rx]
+        else:
+            sol = solve_mis_suboptimal(instance)
+            key, sets = "nodes", sol.node_sets
         total = sol.objective
         print(_fmt_fraction(total))
         out_doc = json.dumps({
             "objective": str(total),
-            "allocation": [
-                {"links": [list(l) for l in sorted(m)], "slots": str(u)}
-                for m, u in zip(sol.matchings, sol.allocation) if u],
-        })
-    elif alg == "mis2p":
-        sol = solve_mis_suboptimal(instance)
-        total = sol.objective
-        print(_fmt_fraction(total))
-        out_doc = json.dumps({
-            "objective": str(total),
-            "allocation": [
-                {"nodes": sorted(s), "slots": str(u)}
-                for s, u in zip(sol.node_sets, sol.allocation) if u],
+            "allocation": [{key: sorted(s), "slots": str(u)}
+                           for s, u in zip(sets, sol.allocation) if u],
         })
     else:  # bipartite
         parts = bipartite.bipartition(instance.network)
@@ -209,7 +202,7 @@ def cmd_solve(args) -> int:
         optimum = total if alg == "exact" else solve_ilp(instance).objective
         penalty = metrics.cost_penalty(total, optimum)
         print(f"optimal {optimum}  penalty {float(penalty):.2f}%")
-    if args.out and out_doc is not None:
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out_doc + "\n")
     return EXIT_OK

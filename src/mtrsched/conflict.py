@@ -141,8 +141,6 @@ def maximal_independent_sets(adj: Sequence[int]) -> list[int]:
     independent sets are exactly the maximal cliques of the complement).
     """
     n = len(adj)
-    if n == 0:
-        return [0]
     full = (1 << n) - 1
     # complement adjacency: non[v] = vertices compatible with v
     non = [~adj[v] & full & ~(1 << v) for v in range(n)]
@@ -184,8 +182,6 @@ def enumerate_maximal_matching_masks(cg: ConflictGraph,
         raise SizeLimitError(
             f"{cg.n_links} links exceeds the enumeration cap of {cap}; "
             "use the greedy schedulers for networks this large")
-    if cg.n_links == 0:
-        return [0]
     masks = maximal_independent_sets(cg.masks)
     masks.sort(key=_mask_bits)
     return masks

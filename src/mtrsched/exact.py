@@ -60,7 +60,7 @@ class IlpSolution:
     allocation: tuple[int, ...]
     matchings: tuple[frozenset[Link], ...]
     schedule: Schedule
-    lp_objective: Fraction = _ZERO
+    lp_objective: Fraction
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,11 @@ def _covering_lp(col_masks: list[int], n_rows: int, demands: Sequence[int],
                  bounds: dict[int, tuple[int, int | None]] | None = None,
                  ) -> tuple[Fraction, list[Fraction]] | None:
     """min sum(u) s.t. coverage >= demands plus optional per-column integer
-    bounds; returns None when infeasible."""
+    bounds; None when infeasible, which no caller's program is: every link
+    (node) lies in a maximal matching (independent set), and a B&B child
+    of a column at parent value v sets lo = ceil(v) <= hi, which only adds
+    coverage, or hi = floor(v) >= lo, made up by the other columns at their
+    integer upper bounds, which cover d - v, hence d - floor(v)."""
     k = len(col_masks)
     rows = []
     rhs = []
@@ -216,9 +220,6 @@ def solve_ilp(instance: Instance, cap: int = DEFAULT_LINK_CAP) -> IlpSolution:
     k = len(masks)
     n = cg.n_links
     demands = instance.demands
-    if n == 0 or not any(demands):
-        return IlpSolution(0, tuple([0] * k), matchings, Schedule())
-
     adj = cg.masks
     mask_index = {m: j for j, m in enumerate(masks)}
     best_total = None
@@ -241,10 +242,8 @@ def solve_ilp(instance: Instance, cap: int = DEFAULT_LINK_CAP) -> IlpSolution:
     stack: list[dict[int, tuple[int, int | None]]] = [{}]
     while stack:
         bounds = stack.pop()
-        res = _covering_lp(masks, n, demands, bounds)
-        if res is None:
-            continue
-        obj, x = res
+        # never None: every node's program is feasible (see _covering_lp)
+        obj, x = _covering_lp(masks, n, demands, bounds)
         if not bounds:
             root_lp = obj
         if math.ceil(obj) >= best_total:
@@ -288,8 +287,6 @@ def solve_mis_suboptimal(instance: Instance,
     cover the per-node demands with maximal independent node sets."""
     net = instance.network
     masks = enumerate_mis_node_masks(net, cap)
-    # every node lies in some maximal independent set, so the covering LP
-    # is always feasible and _covering_lp never returns None here
     obj, x = _covering_lp(masks, net.node_count, reduce_node_demands(instance))
     node_sets = tuple(frozenset(b + 1 for b in _mask_bits(m)) for m in masks)
     return MisSolution(obj, tuple(x), node_sets)

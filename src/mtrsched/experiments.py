@@ -4,8 +4,8 @@ schedulers against the exact optimum, aggregate penalties and runtimes.
 Every trial draws from its own RNG stream derived from the master seed
 and the trial index (sha256-based, so it is portable and insensitive to
 execution order).  Trials are independent; with jobs > 1 they run in a
-process pool of at most min(jobs, trials, CPUs) workers and are re-sorted
-by index, so reports are identical whatever the parallelism.
+process pool of at most min(jobs, trials, CPUs) workers whose map keeps
+trial order, so reports are identical whatever the parallelism.
 """
 
 from __future__ import annotations
@@ -173,13 +173,6 @@ def _fixed_network(config: ExperimentConfig) -> Network | None:
                               config.cols)
 
 
-def _max_links(config: ExperimentConfig) -> int:
-    fixed = _fixed_network(config)
-    if fixed is not None:
-        return len(fixed.links)
-    return config.nodes * (config.nodes - 1)
-
-
 def _check_config(config: ExperimentConfig) -> None:
     if config.trials < 1:
         raise _ConfigError("trials must be >= 1")
@@ -195,9 +188,12 @@ def _check_config(config: ExperimentConfig) -> None:
         _check_random_topology(config.nodes, config.edge_prob)
         if config.edge_prob == 0.0:
             raise _ConfigError("edge_prob must be positive: every trial would be empty")
-    if _max_links(config) > DEFAULT_LINK_CAP:
+        max_links = config.nodes * (config.nodes - 1)
+    else:
+        max_links = len(_fixed_network(config).links)
+    if max_links > DEFAULT_LINK_CAP:
         raise SizeLimitError(
-            f"configuration may produce up to {_max_links(config)} links, "
+            f"configuration may produce up to {max_links} links, "
             f"beyond the exact solver cap of {DEFAULT_LINK_CAP}")
 
 
@@ -252,7 +248,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                                     range(config.trials), chunksize=8))
     else:
         records = [_run_trial(config, k) for k in range(config.trials)]
-    records.sort(key=lambda r: r.trial)
     return ExperimentReport(config, tuple(records))
 
 

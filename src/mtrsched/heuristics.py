@@ -97,8 +97,6 @@ def greedy_rounds(demands: Sequence[int], adj: Sequence[int],
 
 def _greedy(instance: Instance, mode: int) -> Schedule:
     network = instance.network
-    if not network.links or not any(instance.demands):
-        return Schedule()
     cg = build_conflict_graph(network)
     rounds = greedy_rounds(instance.demands, cg.masks, mode)
     all_links = network.links

@@ -122,3 +122,6 @@ class TestTwoPhase:
         overlapping = Bipartition(frozenset({1, 2}), frozenset({2, 3}))
         with pytest.raises(ValueError, match="overlap"):
             two_phase_schedule(seven_tree_instance, overlapping)
+        outside = Bipartition(frozenset({1, 5, 6, 7}), frozenset({2, 3, 4, 8}))
+        with pytest.raises(ValueError, match="node 8 outside network"):
+            two_phase_schedule(seven_tree_instance, outside)

@@ -6,7 +6,8 @@ import mtrsched
 from mtrsched import cli, experiments
 from mtrsched.cli import main
 from mtrsched.exact import solve_ilp
-from mtrsched.model import Instance, gen_linear, load_instance, save_instance
+from mtrsched.model import (Instance, gen_linear, gen_ring, load_instance,
+                            save_instance)
 from mtrsched.schedule import schedule_from_json
 
 
@@ -126,6 +127,48 @@ class TestSolve:
         code, stdout, _ = run(capsys, "solve", "--alg", "lp", str(path))
         assert code == 0
         assert stdout.splitlines()[0] == "5"
+
+    @pytest.mark.parametrize("instance,alg,doc", [
+        ("four-node", "lp", '{"objective": "3", "allocation": ['
+         '{"links": [[1, 2], [3, 2], [3, 4]], "slots": "1"}, '
+         '{"links": [[1, 3], [2, 3], [4, 3]], "slots": "1"}, '
+         '{"links": [[2, 1], [3, 1], [3, 4]], "slots": "1"}]}\n'),
+        ("four-node", "mis2p", '{"objective": "4", "allocation": ['
+         '{"nodes": [1, 4], "slots": "1"}, '
+         '{"nodes": [2, 4], "slots": "1"}, '
+         '{"nodes": [3], "slots": "2"}]}\n'),
+        ("ring5", "lp", '{"objective": "5/2", "allocation": ['
+         '{"links": [[1, 2], [1, 5], [3, 2], [4, 5]], "slots": "1/2"}, '
+         '{"links": [[1, 2], [3, 2], [3, 4], [5, 4]], "slots": "1/2"}, '
+         '{"links": [[1, 5], [2, 3], [4, 3], [4, 5]], "slots": "1/2"}, '
+         '{"links": [[2, 1], [2, 3], [4, 3], [5, 1]], "slots": "1/2"}, '
+         '{"links": [[2, 1], [3, 4], [5, 1], [5, 4]], "slots": "1/2"}]}\n'),
+        ("ring5", "mis2p", '{"objective": "5/2", "allocation": ['
+         '{"nodes": [1, 3], "slots": "1/2"}, '
+         '{"nodes": [1, 4], "slots": "1/2"}, '
+         '{"nodes": [2, 4], "slots": "1/2"}, '
+         '{"nodes": [2, 5], "slots": "1/2"}, '
+         '{"nodes": [3, 5], "slots": "1/2"}]}\n'),
+    ])
+    def test_allocation_document_bytes(self, capsys, tmp_path,
+                                       four_node_instance, instance, alg, doc):
+        inst = {"four-node": four_node_instance,
+                "ring5": Instance(gen_ring(5), (1,) * 10)}[instance]
+        path = tmp_path / "instance.json"
+        path.write_text(save_instance(inst))
+        out = tmp_path / "alloc.json"
+        code, _, _ = run(capsys, "solve", "--alg", alg, str(path),
+                         "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == doc.encode()
+
+    def test_penalty_of_integral_lp(self, capsys, tmp_path, four_node_instance):
+        path = tmp_path / "four.json"
+        path.write_text(save_instance(four_node_instance))
+        code, stdout, _ = run(capsys, "solve", "--alg", "lp", "--penalty",
+                              str(path))
+        assert code == 0
+        assert stdout == "3\noptimal 3  penalty 0.00%\n"
 
     def test_exact_notes_fractional_relaxation(self, capsys, tmp_path):
         path = tmp_path / "ring5.json"

@@ -111,6 +111,8 @@ class TestMatching:
         got = transpose(four_node, [(1, 2), (1, 3), (4, 3)])
         assert got == {(2, 1), (3, 1), (3, 4)}
         assert transpose(four_node, []) == frozenset()
+        with pytest.raises(KeyError, match="no such link"):
+            transpose(four_node, [(1, 2), (1, 4)])
 
     def test_transpose_involution_everywhere(self):
         count = 0

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from mtrsched.exact import (_simplex_min_ge, reduce_node_demands, solve_ilp,
 from mtrsched.heuristics import hwf, hwf_tiebreak_mdf, mdf
 from mtrsched.metrics import lower_bounds, validate_schedule
 from mtrsched.model import (Instance, gen_complete, gen_grid, gen_linear,
-                            gen_ring)
+                            gen_random, gen_ring)
 
 from helpers import all_networks, random_instance
 from reference import (_simplex_min_ge as reference_simplex, directed_cuts,
@@ -22,6 +23,79 @@ F = Fraction
 
 def fr(rows):
     return [[F(x) for x in row] for row in rows]
+
+
+def _rational_lp_corpus():
+    """1,202 seeded rational LPs: infeasible ones, m = 0, duplicate rows,
+    Beale's program (it cycles under the most-negative rule and needs the
+    Bland fallback) and min x st x <= 1, 2x >= 2, which ends phase 1 with
+    an artificial basic at zero that must be driven out."""
+    rng = random.Random(2025)
+
+    def q(lo, hi):
+        if rng.random() < 0.3:
+            return F(0)
+        return F(rng.randint(lo, hi), rng.choice((1, 1, 2, 3)))
+
+    cases = [
+        ([F(-3, 4), F(150), F(-1, 50), F(6)],
+         fr([[F(-1, 4), 60, F(1, 25), -9], [F(-1, 2), 90, F(1, 50), -3],
+             [0, 0, -1, 0]]),
+         [F(0), F(0), F(-1)]),
+        ([F(1)], fr([[-1], [2]]), [F(-1), F(2)]),
+    ]
+    for _ in range(1200):
+        m = rng.randint(0, 6)
+        n = rng.randint(0, 6)
+        rows = [[q(-3, 4) for _ in range(n)] for _ in range(m)]
+        rhs = [q(-4, 6) for _ in range(m)]
+        for _ in range(rng.randint(0, 2) if m else 0):
+            i = rng.randrange(len(rows))
+            rows.append(list(rows[i]))
+            rhs.append(rhs[i])
+        cases.append(([q(0, 4) for _ in range(n)], rows, rhs))
+    return cases
+
+
+def _degenerate_covering_family():
+    """301 LPs with a tight row a.x <= u and 2-3 scaled copies
+    k.a.x >= k.u, shuffled: phase 1 ends with several artificials basic
+    at zero, so the drive-out's row order and column choice both show in
+    the pivot sequence.  The first is min x st x <= 1, 2x >= 2, 3x >= 3."""
+    rng = random.Random(2026)
+    cases = [([F(1)], fr([[-1], [2], [3]]), [F(-1), F(2), F(3)])]
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        a = [F(rng.randint(0, 3), rng.choice((1, 2))) for _ in range(n)]
+        a[rng.randrange(n)] += 1
+        u = F(rng.randint(1, 6), rng.choice((1, 2, 3)))
+        rows = [[-v for v in a]]
+        rhs = [-u]
+        for k in rng.sample(range(2, 7), rng.randint(2, 3)):
+            rows.append([k * v for v in a])
+            rhs.append(k * u)
+        order = list(range(len(rows)))
+        rng.shuffle(order)
+        cost = [F(rng.randint(0, 4)) for _ in range(n)]
+        cases.append((cost, [rows[i] for i in order], [rhs[i] for i in order]))
+    return cases
+
+
+def _pivot_calls(simplex, cost, rows, rhs):
+    """Run one simplex and record the (row, column) arguments of every
+    call to its inner ``pivot``."""
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "pivot":
+            calls.append((frame.f_locals["pr"], frame.f_locals["pc"]))
+
+    sys.setprofile(hook)
+    try:
+        result = simplex(cost, rows, rhs)
+    finally:
+        sys.setprofile(None)
+    return result, calls
 
 
 class TestSimplex:
@@ -67,40 +141,26 @@ class TestSimplex:
     def test_matches_reference_on_random_rational_lps(self):
         # the Fraction simplex as it stood before the one-tableau rewrite
         # makes the same decisions, so (objective, x) and infeasibility
-        # agree exactly.  Beale's program cycles under the most-negative rule and
-        # needs the Bland fallback; min x st x <= 1, 2x >= 2 ends phase 1
-        # with an artificial basic at zero that must be driven out
-        rng = random.Random(2025)
-
-        def q(lo, hi):
-            if rng.random() < 0.3:
-                return F(0)
-            return F(rng.randint(lo, hi), rng.choice((1, 1, 2, 3)))
-
-        cases = [
-            ([F(-3, 4), F(150), F(-1, 50), F(6)],
-             fr([[F(-1, 4), 60, F(1, 25), -9], [F(-1, 2), 90, F(1, 50), -3],
-                 [0, 0, -1, 0]]),
-             [F(0), F(0), F(-1)]),
-            ([F(1)], fr([[-1], [2]]), [F(-1), F(2)]),
-        ]
-        for _ in range(1200):
-            m = rng.randint(0, 6)
-            n = rng.randint(0, 6)
-            rows = [[q(-3, 4) for _ in range(n)] for _ in range(m)]
-            rhs = [q(-4, 6) for _ in range(m)]
-            for _ in range(rng.randint(0, 2) if m else 0):
-                i = rng.randrange(len(rows))
-                rows.append(list(rows[i]))
-                rhs.append(rhs[i])
-            cases.append(([q(0, 4) for _ in range(n)], rows, rhs))
+        # agree exactly
         infeasible = empty = 0
-        for cost, rows, rhs in cases:
+        for cost, rows, rhs in _rational_lp_corpus():
             got = _simplex_min_ge(cost, rows, rhs)
             assert got == reference_simplex(cost, rows, rhs)
             infeasible += got is None
             empty += not rows
         assert infeasible >= 300 and empty >= 100
+
+    def test_pivot_sequence_matches_reference(self):
+        # (objective, x) can agree while the pivots differ, e.g. when the
+        # drive-out picks another row order or column; so compare every
+        # pivot (row, column) of both simplex copies.  The degenerate
+        # family leaves several artificials basic at zero after phase 1
+        for cost, rows, rhs in (_rational_lp_corpus()
+                                + _degenerate_covering_family()):
+            got, got_pivots = _pivot_calls(_simplex_min_ge, cost, rows, rhs)
+            want, want_pivots = _pivot_calls(reference_simplex, cost, rows, rhs)
+            assert got == want
+            assert got_pivots == want_pivots
 
     def test_matches_scipy_on_random_covering(self):
         scipy_opt = pytest.importorskip("scipy.optimize")
@@ -167,6 +227,32 @@ class TestScipyOracle:
             assert mis.success
             assert abs(float(solve_mis_suboptimal(inst).objective)
                        - mis.fun) < 1e-6
+
+    def test_solve_lp_matches_highs_on_dense_instances(self):
+        # dense networks up to the link cap, where the LP has the most
+        # columns; the allocation is checked exactly, HiGHS only to 1e-7
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        rng = random.Random(707)
+        nets = [gen_complete(5), gen_complete(6), gen_grid(3, 3), gen_grid(2, 4)]
+        while len(nets) < 10:
+            net = gen_random(6, rng.choice((0.7, 0.8, 0.9)), rng.randrange(10 ** 6))
+            if net.links:
+                nets.append(net)
+        for net in nets:
+            inst = Instance(net, tuple(rng.randint(1, 20) for _ in net.links))
+            sol = solve_lp(inst)
+            assert all(u >= 0 for u in sol.allocation)
+            assert sum(sol.allocation) == sol.objective
+            for link, d in zip(net.links, inst.demands):
+                assert sum(u for m, u in zip(sol.matchings, sol.allocation)
+                           if link in m) >= d
+            cuts = directed_cuts(net) - {frozenset()}
+            lp = scipy_opt.linprog(
+                [1] * len(cuts),
+                A_ub=[[-1 if link in c else 0 for c in cuts] for link in net.links],
+                b_ub=[-d for d in inst.demands], method="highs")
+            assert lp.success
+            assert abs(float(sol.objective) - lp.fun) < 1e-7 * lp.fun
 
 
 class TestSolveLp:

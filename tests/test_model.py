@@ -98,6 +98,10 @@ class TestGenerators:
         assert len(gen_complete(6).links) == 30
         assert gen_complete(2) == gen_linear(2)
 
+    def test_complete_too_small(self):
+        with pytest.raises(InvalidSizeError):
+            gen_complete(1)
+
     def test_random_extremes(self):
         assert gen_random(6, 1.0, seed=3) == gen_complete(6)
         assert gen_random(6, 0.0, seed=3).edges == ()
@@ -175,6 +179,24 @@ class TestInstanceIO:
         # and RecursionError for deep nesting
         with pytest.raises(InstanceFormatError, match="not valid JSON"):
             load_instance(b"[" * 100000)
+
+    @pytest.mark.parametrize("doc,message", [
+        ([], "top-level document must be an object"),
+        ({"nodes": 0, "edges": [], "demands": []}, "'nodes' must be"),
+        ({"nodes": True, "edges": [], "demands": []}, "'nodes' must be"),
+        ({"nodes": 1.5, "edges": [], "demands": []}, "'nodes' must be"),
+        ({"nodes": 2, "edges": {}, "demands": []}, "'edges' must be a list"),
+        ({"nodes": 2, "edges": [[1]], "demands": []}, "edge entries"),
+        ({"nodes": 2, "edges": [[1, True]], "demands": []}, "edge entries"),
+        ({"nodes": 2, "edges": [[1, 2]], "demands": {}},
+         "'demands' must be a list"),
+        ({"nodes": 2, "edges": [[1, 2]],
+          "demands": [{"tx": 1, "rx": 2, "d": 1, "w": 0}]},
+         "demand records must have keys"),
+    ])
+    def test_malformed_document(self, doc, message):
+        with pytest.raises(InstanceFormatError, match=message):
+            load_instance(json.dumps(doc))
 
     def test_missing_key(self):
         with pytest.raises(InstanceFormatError, match="missing required key"):

@@ -61,6 +61,7 @@ def test_json_booleans_are_not_numbers(text, field):
     '{"entries": 5}',
     '{"entries": {"links": [], "slots": 1}}',
     '{"entries": [{"links": 5, "slots": 1}]}',
+    '{"entries": [{"links": [[1, 2]]}]}',
     '{"entries": [{"links": [[1, 2, 3]], "slots": 1}]}',
     '{"entries": [{"links": [[1, 2.0]], "slots": 1}]}',
     '[]',
