@@ -34,6 +34,8 @@ EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 
 _SOLVERS = (*experiments.ALGORITHMS, "exact", "lp", "mis2p", "bipartite")
+# the `experiment` defaults are the library's default campaign
+_CAMPAIGN = experiments.ExperimentConfig(trials=1, master_seed=0)
 
 
 class _UsageError(Exception):
@@ -84,21 +86,23 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run a randomized campaign")
     exp.add_argument("--trials", type=int, required=True)
     exp.add_argument("--seed", type=int, required=True, help="master seed")
-    exp.add_argument("--topology", default="random", choices=TOPOLOGIES)
-    exp.add_argument("--n", type=int, default=6)
-    exp.add_argument("--rows", type=int, default=3)
-    exp.add_argument("--cols", type=int, default=3)
-    exp.add_argument("--p", type=float, default=0.5)
-    exp.add_argument("--demand", default="uniform:1:10", help="uniform:LO:HI")
+    exp.add_argument("--topology", default=_CAMPAIGN.topology, choices=TOPOLOGIES)
+    exp.add_argument("--n", type=int, default=_CAMPAIGN.nodes)
+    exp.add_argument("--rows", type=int, default=_CAMPAIGN.rows)
+    exp.add_argument("--cols", type=int, default=_CAMPAIGN.cols)
+    exp.add_argument("--p", type=float, default=_CAMPAIGN.edge_prob)
+    exp.add_argument("--demand", help="uniform:LO:HI",
+                     default=f"uniform:{_CAMPAIGN.demand_lo}:{_CAMPAIGN.demand_hi}")
     sym = exp.add_mutually_exclusive_group(required=True)
     sym.add_argument("--symmetric", action="store_true")
     sym.add_argument("--asymmetric", action="store_true")
-    exp.add_argument("--algorithms", default="hwf,mdf",
-                     help="comma-separated subset of hwf,mdf,hwf-mdf")
+    exp.add_argument("--algorithms", default=",".join(_CAMPAIGN.algorithms),
+                     help="comma-separated subset of "
+                          + ",".join(experiments.ALGORITHMS))
     exp.add_argument("--demand-ranges",
                      help="comma-separated demand upper bounds; runs one "
                           "campaign per range and reports mean penalties")
-    exp.add_argument("--jobs", type=int, default=1)
+    exp.add_argument("--jobs", type=int, default=_CAMPAIGN.jobs)
     exp.add_argument("--out-json", help="summary JSON path")
     exp.add_argument("--out-csv", help="per-trial CSV path")
     exp.set_defaults(func=cmd_experiment)
@@ -198,7 +202,9 @@ def cmd_solve(args) -> int:
         out_doc = schedule_to_json(sched)
 
     if args.penalty:
-        total = _as_int_total(total)
+        _require(total.denominator == 1,
+                 "penalty is defined for integer totals only")
+        total = int(total)
         optimum = total if alg == "exact" else solve_ilp(instance).objective
         penalty = metrics.cost_penalty(total, optimum)
         print(f"optimal {optimum}  penalty {float(penalty):.2f}%")
@@ -206,14 +212,6 @@ def cmd_solve(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out_doc + "\n")
     return EXIT_OK
-
-
-def _as_int_total(total) -> int:
-    if isinstance(total, Fraction):
-        if total.denominator != 1:
-            raise _UsageError("penalty is defined for integer totals only")
-        return int(total)
-    return total
 
 
 def _fmt_fraction(x: Fraction) -> str:

@@ -87,9 +87,9 @@ def _to_mask(cg: ConflictGraph, links: Iterable[Link]) -> int:
 
 def _mask_bits(mask: int) -> tuple[int, ...]:
     """The set bits of a mask in ascending order.  The conflict and exact
-    layers decode every link and node mask through it; ``heuristics._greedy``
-    decodes its rounds inline, where a call per round costs greedy
-    throughput."""
+    layers decode link and node masks through it; schedules are decoded
+    by ``heuristics._schedule``, which inlines the loop because a call per
+    round costs greedy throughput."""
     bits = []
     while mask:
         b = mask & -mask
@@ -174,29 +174,27 @@ def maximal_independent_sets(adj: Sequence[int]) -> list[int]:
     return out
 
 
-def enumerate_maximal_matching_masks(cg: ConflictGraph,
-                                     cap: int = DEFAULT_LINK_CAP) -> list[int]:
+def enumerate_maximal_matching_masks(cg: ConflictGraph) -> list[int]:
     """Maximal matchings as link-index bitmasks, in the canonical order
     (sorted by ascending member index tuples)."""
-    if cg.n_links > cap:
+    if cg.n_links > DEFAULT_LINK_CAP:
         raise SizeLimitError(
-            f"{cg.n_links} links exceeds the enumeration cap of {cap}; "
+            f"{cg.n_links} links exceeds the enumeration cap of {DEFAULT_LINK_CAP}; "
             "use the greedy schedulers for networks this large")
     masks = maximal_independent_sets(cg.masks)
     masks.sort(key=_mask_bits)
     return masks
 
 
-def enumerate_maximal_matchings(cg: ConflictGraph,
-                                cap: int = DEFAULT_LINK_CAP) -> list[frozenset[Link]]:
+def enumerate_maximal_matchings(cg: ConflictGraph) -> list[frozenset[Link]]:
     """All maximal matchings (maximal independent sets of the conflict
     graph), sorted by their sorted link tuples.
 
     Exhaustive enumeration is exponential in the worst case, so networks
-    with more than ``cap`` links are refused.
+    with more than ``DEFAULT_LINK_CAP`` links are refused.
     """
     return [mask_to_links(cg.network, m)
-            for m in enumerate_maximal_matching_masks(cg, cap)]
+            for m in enumerate_maximal_matching_masks(cg)]
 
 
 def enumerate_mis_node_masks(network: Network,

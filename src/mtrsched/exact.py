@@ -19,11 +19,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import heuristics
-from .conflict import (DEFAULT_LINK_CAP, DEFAULT_NODE_CAP, _mask_bits,
-                       build_conflict_graph, enumerate_maximal_matching_masks,
+from .conflict import (DEFAULT_NODE_CAP, _mask_bits, build_conflict_graph,
+                       enumerate_maximal_matching_masks,
                        enumerate_mis_node_masks, mask_to_links)
 from .model import Instance, Link
-from .schedule import Schedule, ScheduleEntry
+from .schedule import Schedule
 
 __all__ = [
     "LpSolution",
@@ -193,17 +193,17 @@ def _covering_lp(col_masks: list[int], n_rows: int, demands: Sequence[int],
     return _simplex_min_ge([_ONE] * k, rows, rhs)
 
 
-def solve_lp(instance: Instance, cap: int = DEFAULT_LINK_CAP) -> LpSolution:
+def solve_lp(instance: Instance) -> LpSolution:
     """Exact fractional optimum of the covering program over all maximal
     matchings: the minimum airtime if slots were divisible."""
     masks = enumerate_maximal_matching_masks(
-        build_conflict_graph(instance.network), cap)
+        build_conflict_graph(instance.network))
     matchings = tuple(mask_to_links(instance.network, m) for m in masks)
     obj, x = _covering_lp(masks, len(instance.network.links), instance.demands)
     return LpSolution(obj, tuple(x), matchings)
 
 
-def solve_ilp(instance: Instance, cap: int = DEFAULT_LINK_CAP) -> IlpSolution:
+def solve_ilp(instance: Instance) -> IlpSolution:
     """Minimum integer airtime, by depth-first branch-and-bound with the
     rational LP as bound.
 
@@ -215,7 +215,7 @@ def solve_ilp(instance: Instance, cap: int = DEFAULT_LINK_CAP) -> IlpSolution:
     """
     net = instance.network
     cg = build_conflict_graph(net)
-    masks = enumerate_maximal_matching_masks(cg, cap)
+    masks = enumerate_maximal_matching_masks(cg)
     matchings = tuple(mask_to_links(net, m) for m in masks)
     k = len(masks)
     n = cg.n_links
@@ -262,10 +262,8 @@ def solve_ilp(instance: Instance, cap: int = DEFAULT_LINK_CAP) -> IlpSolution:
         up[j] = (math.ceil(v), hi)
         stack.append(up)
 
-    # links are in canonical order, so ascending bits give sorted tuples
-    schedule = Schedule(tuple(
-        ScheduleEntry(tuple(net.links[b] for b in _mask_bits(masks[j])), u)
-        for j, u in enumerate(best_alloc) if u > 0))
+    schedule = heuristics._schedule(
+        net.links, [(masks[j], u) for j, u in enumerate(best_alloc) if u > 0])
     return IlpSolution(best_total, tuple(best_alloc), matchings, schedule,
                        root_lp)
 

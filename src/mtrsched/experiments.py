@@ -27,7 +27,7 @@ from . import heuristics
 from .conflict import DEFAULT_LINK_CAP, SizeLimitError
 from .exact import solve_ilp
 from .metrics import cost_penalty
-from .model import (TOPOLOGIES, Instance, Network, _check_demand_range,
+from .model import (TOPOLOGIES, Instance, _check_demand_range,
                     _check_random_topology, _random_demands, _random_network,
                     gen_fixed_topology)
 
@@ -166,13 +166,6 @@ def _trial_seed(master_seed: int, trial: int, attempt: int) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _fixed_network(config: ExperimentConfig) -> Network | None:
-    if config.topology == "random":
-        return None
-    return gen_fixed_topology(config.topology, config.nodes, config.rows,
-                              config.cols)
-
-
 def _check_config(config: ExperimentConfig) -> None:
     if config.trials < 1:
         raise _ConfigError("trials must be >= 1")
@@ -180,6 +173,8 @@ def _check_config(config: ExperimentConfig) -> None:
     for alg in config.algorithms:
         if alg not in ALGORITHMS:
             raise _ConfigError(f"unknown algorithm {alg!r}")
+    if len(set(config.algorithms)) != len(config.algorithms):
+        raise _ConfigError(f"duplicate algorithm in {config.algorithms!r}")
     if config.topology not in TOPOLOGIES:
         raise _ConfigError(f"unknown topology {config.topology!r}")
     if config.topology == "random":
@@ -190,7 +185,17 @@ def _check_config(config: ExperimentConfig) -> None:
             raise _ConfigError("edge_prob must be positive: every trial would be empty")
         max_links = config.nodes * (config.nodes - 1)
     else:
-        max_links = len(_fixed_network(config).links)
+        nodes = (config.rows * config.cols if config.topology == "grid"
+                 else config.nodes)
+        # connected, so >= 2(nodes - 1) links: refuse before the build, but
+        # a grid only once rows, cols >= 1, so its domain error comes first
+        if 2 * (nodes - 1) > DEFAULT_LINK_CAP and (
+                config.topology != "grid" or min(config.rows, config.cols) >= 1):
+            raise SizeLimitError(
+                f"configuration produces at least {2 * (nodes - 1)} links, "
+                f"beyond the exact solver cap of {DEFAULT_LINK_CAP}")
+        max_links = len(gen_fixed_topology(config.topology, config.nodes,
+                                           config.rows, config.cols).links)
     if max_links > DEFAULT_LINK_CAP:
         raise SizeLimitError(
             f"configuration may produce up to {max_links} links, "
@@ -198,12 +203,14 @@ def _check_config(config: ExperimentConfig) -> None:
 
 
 def _run_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
-    fixed = _fixed_network(config)
     for attempt in range(_MAX_REGEN_ATTEMPTS):
         seed = _trial_seed(config.master_seed, trial, attempt)
         rng = random.Random(seed)
-        network = fixed if fixed is not None else _random_network(
-            config.nodes, config.edge_prob, rng)
+        if config.topology == "random":
+            network = _random_network(config.nodes, config.edge_prob, rng)
+        else:
+            network = gen_fixed_topology(config.topology, config.nodes,
+                                         config.rows, config.cols)
         if network.links:
             break
     else:
@@ -245,7 +252,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_trial, [config] * config.trials,
-                                    range(config.trials), chunksize=8))
+                                    range(config.trials)))
     else:
         records = [_run_trial(config, k) for k in range(config.trials)]
     return ExperimentReport(config, tuple(records))

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .conflict import build_conflict_graph
-from .model import Instance
+from .model import Instance, Link
 from .schedule import Schedule, ScheduleEntry
 
 __all__ = ["hwf", "mdf", "hwf_tiebreak_mdf"]
@@ -95,11 +95,9 @@ def greedy_rounds(demands: Sequence[int], adj: Sequence[int],
     return rounds
 
 
-def _greedy(instance: Instance, mode: int) -> Schedule:
-    network = instance.network
-    cg = build_conflict_graph(network)
-    rounds = greedy_rounds(instance.demands, cg.masks, mode)
-    all_links = network.links
+def _schedule(all_links: Sequence[Link],
+              rounds: list[tuple[int, int]]) -> Schedule:
+    """Decode (link bitmask, slots) rounds; ascending bits give sorted tuples."""
     entries = []
     for mask, slots in rounds:
         links = []
@@ -109,6 +107,12 @@ def _greedy(instance: Instance, mode: int) -> Schedule:
             links.append(all_links[b.bit_length() - 1])
         entries.append(ScheduleEntry(tuple(links), slots))
     return Schedule(tuple(entries))
+
+
+def _greedy(instance: Instance, mode: int) -> Schedule:
+    cg = build_conflict_graph(instance.network)
+    return _schedule(instance.network.links,
+                     greedy_rounds(instance.demands, cg.masks, mode))
 
 
 def hwf(instance: Instance) -> Schedule:

@@ -288,7 +288,7 @@ def load_instance(text: str | bytes) -> Instance:
 
     if not isinstance(doc["demands"], list):
         raise InstanceFormatError("'demands' must be a list of records")
-    demands = [-1] * len(network.links)
+    demands = {}  # link index -> "d"; Instance checks the values
     for rec in doc["demands"]:
         if not isinstance(rec, dict) or set(rec) != {"tx", "rx", "d"}:
             raise InstanceFormatError(f"demand records must have keys tx, rx, d; got {rec!r}")
@@ -296,14 +296,10 @@ def load_instance(text: str | bytes) -> Instance:
         if not network.has_link(link):
             raise InstanceFormatError(f"demand given for nonexistent link {link}")
         i = network.link_index(link)
-        if demands[i] != -1:
+        if i in demands:
             raise InstanceFormatError(f"duplicate demand record for link {link}")
-        d = rec["d"]
-        if type(d) is not int or d < 0:
-            raise InstanceFormatError(f"demand for link {link} must be a "
-                                      f"non-negative integer, got {d!r}")
-        demands[i] = d
-    for i, d in enumerate(demands):
-        if d == -1:
-            raise InstanceFormatError(f"missing demand for link {network.links[i]}")
-    return Instance(network, tuple(demands))
+        demands[i] = rec["d"]
+    for i, link in enumerate(network.links):
+        if i not in demands:
+            raise InstanceFormatError(f"missing demand for link {link}")
+    return Instance(network, tuple(demands[i] for i in range(len(demands))))

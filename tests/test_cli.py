@@ -398,6 +398,43 @@ class TestExperiment:
         assert "--out-json" in err
         assert calls == [] and not out.exists()
 
+    def test_duplicate_algorithms_usage_error(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "_run_trial",
+                            lambda config, trial: calls.append(trial))
+        code, _, err = run(capsys, "experiment", "--trials", "3", "--seed", "1",
+                           "--n", "4", "--symmetric", "--algorithms", "hwf,hwf")
+        assert code == 2
+        assert "duplicate algorithm" in err
+        assert calls == []
+
+    def test_fixed_cap_refused_before_build(self, capsys, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("fixed network built")
+        monkeypatch.setattr(experiments, "gen_fixed_topology", no_build)
+        code, _, err = run(capsys, "experiment", "--trials", "1", "--seed", "1",
+                           "--topology", "complete", "--n", "100000",
+                           "--symmetric")
+        assert code == 3
+        assert "199998 links" in err
+
+    def test_default_campaign_matches_library(self, capsys, tmp_path):
+        # the CLI reads every campaign default from ExperimentConfig
+        out = tmp_path / "c.csv"
+        code, _, _ = run(capsys, "experiment", "--trials", "20", "--seed", "3",
+                         "--symmetric", "--out-csv", str(out))
+        assert code == 0
+        lib = experiments.run_experiment(
+            experiments.ExperimentConfig(trials=20, master_seed=3)).to_csv()
+
+        def no_runtimes(text):
+            rows = text.splitlines()
+            keep = [i for i, h in enumerate(rows[0].split(","))
+                    if not h.startswith("rt_")]
+            return [[row.split(",")[i] for i in keep] for row in rows]
+        assert no_runtimes(out.read_text()) == no_runtimes(lib)
+        assert out.read_text().startswith("trial,seed,links,lp,ilp,hwf,mdf,")
+
     def test_only_empty_networks_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(experiments, "_MAX_REGEN_ATTEMPTS", 3)
         code, _, err = run(capsys, "experiment", "--trials", "1", "--seed", "1",

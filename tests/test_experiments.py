@@ -93,6 +93,23 @@ class TestRunExperiment:
         with pytest.raises(SizeLimitError):
             run_experiment(small(topology="complete", nodes=7))
 
+    def test_fixed_cap_refused_before_build(self, monkeypatch):
+        # a connected network of n nodes has >= 2(n - 1) links, so these are
+        # refused without building 5e9 or 250,000-node networks
+        def no_build(*args):
+            raise AssertionError("fixed network built")
+        monkeypatch.setattr(experiments, "gen_fixed_topology", no_build)
+        for cfg in (small(topology="complete", nodes=100_000),
+                    small(topology="linear", nodes=17),
+                    small(topology="grid", rows=500, cols=500)):
+            with pytest.raises(SizeLimitError, match="at least"):
+                run_experiment(cfg)
+
+    @pytest.mark.parametrize("rows,cols", [(-100, -100), (0, 100), (100, -1)])
+    def test_grid_domain_before_cap(self, rows, cols):
+        with pytest.raises(InvalidSizeError, match="grid needs"):
+            run_experiment(small(topology="grid", rows=rows, cols=cols))
+
     def test_only_empty_draws_refused(self, monkeypatch):
         monkeypatch.setattr(experiments, "_MAX_REGEN_ATTEMPTS", 3)
         with pytest.raises(experiments._ConfigError,
@@ -114,6 +131,10 @@ class TestRunExperiment:
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_experiment(small(algorithms=("hwf", "nope")))
+
+    def test_duplicate_algorithm(self):
+        with pytest.raises(experiments._ConfigError, match="duplicate algorithm"):
+            run_experiment(small(algorithms=("hwf", "mdf", "hwf")))
 
     @pytest.mark.parametrize("lo,hi", [(0, 0), (5, 2)])
     def test_bad_demand_range(self, lo, hi):
