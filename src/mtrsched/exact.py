@@ -210,7 +210,10 @@ def solve_ilp(instance: Instance) -> IlpSolution:
     The best greedy rounds (HWF, MDF, hybrid; first on ties), run on the
     solve's one conflict graph, seed the incumbent.  Branching fixes the
     matching with the largest fractional allocation (lowest index on
-    ties), exploring the rounded-up branch first.  The search is fully
+    ties), exploring the rounded-up branch first.  A popped node whose
+    parent's LP bound already reaches the incumbent is dropped before its
+    LP is solved: a child only adds a bound row, so its LP can be no lower
+    and solving it could only end in the same prune.  The search is fully
     deterministic, so repeated runs return the identical witness.
     """
     net = instance.network
@@ -237,16 +240,20 @@ def solve_ilp(instance: Instance) -> IlpSolution:
                 best_alloc[mask_index[ext]] += slots
 
     root_lp = _ZERO
-    # depth-first stack of per-column (lo, hi) bound maps; the entry pushed
-    # last is explored first, so push the floor branch before the ceil one
-    stack: list[dict[int, tuple[int, int | None]]] = [{}]
+    # depth-first stack of (per-column (lo, hi) bound map, ceil of the
+    # parent's LP objective); the entry pushed last is explored first, so
+    # push the floor branch before the ceil one
+    stack: list[tuple[dict[int, tuple[int, int | None]], int]] = [({}, 0)]
     while stack:
-        bounds = stack.pop()
+        bounds, lb = stack.pop()
+        if lb >= best_total:  # a child's LP is never below its parent's
+            continue
         # never None: every node's program is feasible (see _covering_lp)
         obj, x = _covering_lp(masks, n, demands, bounds)
         if not bounds:
             root_lp = obj
-        if math.ceil(obj) >= best_total:
+        lb = math.ceil(obj)
+        if lb >= best_total:
             continue
         frac = [(j, v) for j, v in enumerate(x) if v.denominator != 1]
         if not frac:
@@ -257,10 +264,10 @@ def solve_ilp(instance: Instance) -> IlpSolution:
         lo, hi = bounds.get(j, (0, None))
         down = dict(bounds)
         down[j] = (lo, math.floor(v))
-        stack.append(down)
+        stack.append((down, lb))
         up = dict(bounds)
         up[j] = (math.ceil(v), hi)
-        stack.append(up)
+        stack.append((up, lb))
 
     schedule = heuristics._schedule(
         net.links, [(masks[j], u) for j, u in enumerate(best_alloc) if u > 0])

@@ -18,7 +18,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -250,6 +249,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     _check_config(config)
     workers = _worker_count(config.jobs, config.trials, os.cpu_count())
     if workers > 1:
+        # imported here: a campaign without a pool (and every other use of
+        # the package) never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_trial, [config] * config.trials,
                                     range(config.trials)))

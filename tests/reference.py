@@ -3,13 +3,18 @@ package must match exactly: the pairwise conflict-mask build, maximal
 independent sets by filtering all vertex subsets, the directed cuts that
 the maximal matchings must equal, the greedy kernel with
 explicit sort keys and per-round degree recomputation, schedule
-validation by pairwise conflict scan and per-link coverage sums, and
+validation by pairwise conflict scan and per-link coverage sums,
 the Fraction two-phase simplex as it was before its rewrite into one
-augmented tableau.
+augmented tableau, and the branch-and-bound loop as it was before it
+dropped nodes on their parent's bound.
 """
 
+import math
 from fractions import Fraction
 
+from mtrsched import exact, heuristics
+from mtrsched.conflict import (build_conflict_graph,
+                               enumerate_maximal_matching_masks, mask_to_links)
 from mtrsched.heuristics import HWF, MDF
 from mtrsched.metrics import Violation
 from mtrsched.schedule import Schedule, ScheduleEntry
@@ -304,3 +309,62 @@ def _simplex_min_ge(cost, rows, rhs):
         return _raising_simplex_min_ge(cost, rows, rhs)
     except _Infeasible:
         return None
+
+
+def solve_ilp_unpruned(instance):
+    """exact.solve_ilp as it was before pruning on the parent's bound:
+    every popped node's LP is solved (through exact._covering_lp, so a
+    test can count the solves) before the incumbent bound is applied."""
+    net = instance.network
+    cg = build_conflict_graph(net)
+    masks = enumerate_maximal_matching_masks(cg)
+    matchings = tuple(mask_to_links(net, m) for m in masks)
+    k = len(masks)
+    n = cg.n_links
+    demands = instance.demands
+    adj = cg.masks
+    mask_index = {m: j for j, m in enumerate(masks)}
+    best_total = None
+    best_alloc = None
+    for mode in (heuristics.HWF, heuristics.MDF, heuristics.HWF_TIE_MDF):
+        rounds = heuristics.greedy_rounds(demands, adj, mode)
+        total = sum(slots for _, slots in rounds)
+        if best_total is None or total < best_total:
+            best_total = total
+            best_alloc = [0] * k
+            for ext, slots in rounds:  # extend to a maximal matching
+                for v in range(n):
+                    if not (ext >> v) & 1 and adj[v] & ext == 0:
+                        ext |= 1 << v
+                best_alloc[mask_index[ext]] += slots
+
+    root_lp = _ZERO
+    # depth-first stack of per-column (lo, hi) bound maps; the entry pushed
+    # last is explored first, so push the floor branch before the ceil one
+    stack = [{}]
+    while stack:
+        bounds = stack.pop()
+        # never None: every node's program is feasible (see _covering_lp)
+        obj, x = exact._covering_lp(masks, n, demands, bounds)
+        if not bounds:
+            root_lp = obj
+        if math.ceil(obj) >= best_total:
+            continue
+        frac = [(j, v) for j, v in enumerate(x) if v.denominator != 1]
+        if not frac:
+            best_total = int(sum(x))
+            best_alloc = [int(v) for v in x]
+            continue
+        j, v = max(frac, key=lambda p: (p[1], -p[0]))
+        lo, hi = bounds.get(j, (0, None))
+        down = dict(bounds)
+        down[j] = (lo, math.floor(v))
+        stack.append(down)
+        up = dict(bounds)
+        up[j] = (math.ceil(v), hi)
+        stack.append(up)
+
+    schedule = heuristics._schedule(
+        net.links, [(masks[j], u) for j, u in enumerate(best_alloc) if u > 0])
+    return exact.IlpSolution(best_total, tuple(best_alloc), matchings,
+                             schedule, root_lp)

@@ -5,18 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from mtrsched import conflict, heuristics
+from mtrsched import conflict, exact, heuristics
 from mtrsched.conflict import SizeLimitError
 from mtrsched.exact import (_simplex_min_ge, reduce_node_demands, solve_ilp,
                             solve_lp, solve_mis_suboptimal)
 from mtrsched.heuristics import hwf, hwf_tiebreak_mdf, mdf
 from mtrsched.metrics import lower_bounds, validate_schedule
-from mtrsched.model import (Instance, gen_complete, gen_grid, gen_linear,
-                            gen_random, gen_ring)
+from mtrsched.model import (Instance, Network, _random_network, gen_complete,
+                            gen_grid, gen_linear, gen_random, gen_ring)
+from mtrsched.schedule import schedule_to_json
 
 from helpers import all_networks, random_instance
 from reference import (_simplex_min_ge as reference_simplex, directed_cuts,
-                       maximal_independent_sets)
+                       maximal_independent_sets, solve_ilp_unpruned)
 
 F = Fraction
 
@@ -362,6 +363,8 @@ class TestSolveIlp:
         sol = solve_ilp(Instance(four_node, (0,) * 8))
         assert sol.objective == 0
         assert sol.schedule.entries == ()
+        # the greedy total 0 prunes the root before its LP is solved
+        assert sol.lp_objective == 0 and type(sol.lp_objective) is Fraction
 
     def test_witness_consistent(self):
         rng = random.Random(31)
@@ -417,6 +420,61 @@ class TestSolveIlp:
         inst = Instance(gen_complete(7), (1,) * 42)
         with pytest.raises(SizeLimitError):
             solve_ilp(inst)
+
+    @pytest.fixture
+    def lp_solves(self, monkeypatch):
+        """Run a solve and count its exact._covering_lp calls, which
+        solve_ilp and the unpruned reference both go through."""
+        calls = []
+        real = exact._covering_lp
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        def run(solve, inst):
+            calls.clear()
+            return solve(inst), len(calls)
+
+        monkeypatch.setattr(exact, "_covering_lp", counting)
+        return run
+
+    def test_parent_bound_skips_lp_solves(self, lp_solves):
+        # root 37/2: both children of the root inherit the bound 19, which
+        # the first child's integral 19 then reaches, so the second child's
+        # LP is never solved
+        inst = Instance(Network(4, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
+                        (8, 3, 9, 8, 6, 1, 3, 7, 5, 8))
+        sol, solves = lp_solves(solve_ilp, inst)
+        ref, ref_solves = lp_solves(solve_ilp_unpruned, inst)
+        assert (sol.lp_objective, sol.objective) == (F(37, 2), 19)
+        assert sol == ref
+        assert (solves, ref_solves) == (2, 3)
+
+    def test_matches_unpruned_reference(self, lp_solves):
+        # pruning on the parent's bound only skips LPs whose solve would
+        # end in a prune: the answer and witness stay those of the loop
+        # that solves every node
+        rng = random.Random(12)
+        instances = []
+        while len(instances) < 300:
+            net = _random_network(rng.randint(4, 5),
+                                  rng.choice((0.5, 0.6, 0.7, 0.8, 0.9)), rng)
+            if net.links and len(net.links) <= 14:
+                instances.append(Instance(net, tuple(
+                    rng.randint(1, 9) for _ in net.links)))
+        for n in (5, 7):
+            instances.append(Instance(gen_ring(n), tuple(
+                rng.randint(1, 9) for _ in range(2 * n))))
+        fewer = 0
+        for inst in instances:
+            sol, solves = lp_solves(solve_ilp, inst)
+            ref, ref_solves = lp_solves(solve_ilp_unpruned, inst)
+            assert sol == ref
+            assert schedule_to_json(sol.schedule) == schedule_to_json(ref.schedule)
+            assert solves <= ref_solves
+            fewer += solves < ref_solves
+        assert fewer > 0
 
     def test_one_conflict_graph_and_no_public_greedy(self, monkeypatch):
         builds = []

@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import mtrsched
 from mtrsched.conflict import SizeLimitError
 from mtrsched import experiments
 from mtrsched.experiments import (ExperimentConfig, _worker_count,
@@ -34,6 +39,19 @@ class TestRunExperiment:
         seq = run_experiment(small(trials=12))
         par = run_experiment(small(trials=12, jobs=3))
         assert results_only(seq) == results_only(par)
+
+    def test_import_loads_no_process_pool(self):
+        # the pool is imported only by a campaign that runs one
+        src = str(Path(mtrsched.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        code = ("import sys, mtrsched, mtrsched.cli; print(sorted(m for m in "
+                "sys.modules if m.split('.')[0] in "
+                "('multiprocessing', 'concurrent')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("jobs,trials,cpus,workers", [
         (10**6, 1000, 2, 2),   # an absurd --jobs gets the CPUs, no more
