@@ -79,16 +79,24 @@ def _simplex_min_ge(cost: list[Fraction], rows: list[list[Fraction]],
     when the constraints admit no solution.
 
     Two-phase simplex on one augmented tableau.  Its m constraint rows
-    span the n structural columns, one surplus column per row, one
-    artificial column per row with rhs > 0, and the right-hand side as the
-    last column; below them sit the phase-2 and the phase-1 reduced-cost
-    rows, which every pivot updates with the rest (the phase-1 row until
-    phase 1 ends).  Row i reads
+    span the n structural columns, one surplus column per row and the
+    right-hand side as the last column; below them sit the phase-2 and the
+    phase-1 reduced-cost rows, which every pivot updates with the rest
+    (the phase-1 row until phase 1 ends).  Row i reads
     a.x - s_i + t_i = b (artificial t_i basic) when b > 0, else
     -a.x + s_i = -b (surplus s_i basic).  Every row owns a surplus column
     no other row touches, so the rows are independent: a basic artificial
     left after phase 1 always has a nonzero structural or surplus entry
     to pivot on.
+
+    The artificial columns are numbered n+m onwards (one per row with
+    b > 0, in row order) but never stored.  In the starting tableau t_i's
+    column is minus s_i's in every constraint row and in the phase-2 row,
+    and its phase-1 reduced cost is 1 minus s_i's; every pivot is linear,
+    so both relations hold throughout.  t_i's entries are therefore read
+    as -row[s_i], its phase-1 reduced cost as 1 - phase1[s_i], and a pivot
+    on t_i is one on s_i whose pivot row is then added to the phase-1 row
+    and negated.
 
     Entering column: most negative reduced cost, lowest index on ties,
     switching to Bland's rule (lowest negative index) after
@@ -99,20 +107,21 @@ def _simplex_min_ge(cost: list[Fraction], rows: list[list[Fraction]],
     n = len(cost)
     arts = [i for i in range(m) if rhs[i] > 0]
     ncols = n + m + len(arts)
+    # tableau column read for each column number: artificial t_i -> s_i
+    col = list(range(n + m)) + [n + i for i in arts]
     tab: list[list[Fraction]] = []
     basis: list[int] = []
     for i in range(m):
         pos = rhs[i] > 0
-        row = [a if pos else -a for a in rows[i]] + [_ZERO] * (ncols - n + 1)
+        row = [a if pos else -a for a in rows[i]] + [_ZERO] * (m + 1)
         row[n + i] = -_ONE if pos else _ONE
         row[-1] = rhs[i] if pos else -rhs[i]
         tab.append(row)
         basis.append(n + i)
     for k, i in enumerate(arts, n + m):
-        tab[i][k] = _ONE
         basis[i] = k
-    phase2 = list(cost) + [_ZERO] * (ncols - n + 1)
-    phase1 = [_ZERO] * (n + m) + [_ONE] * len(arts) + [_ZERO]
+    phase2 = list(cost) + [_ZERO] * (m + 1)
+    phase1 = [_ZERO] * (n + m + 1)
     for i in arts:
         for k, a in enumerate(tab[i]):
             if a:
@@ -121,28 +130,40 @@ def _simplex_min_ge(cost: list[Fraction], rows: list[list[Fraction]],
 
     def pivot(pr: int, pc: int) -> None:
         prow = tab[pr]
+        c = col[pc]
         nz = [k for k, a in enumerate(prow) if a]
-        inv = _ONE / prow[pc]
+        inv = _ONE / prow[c]
         if inv != 1:
             for k in nz:
                 prow[k] *= inv
         for row in tab:
-            factor = row[pc]
+            factor = row[c]
             if factor and row is not prow:
                 for k in nz:
                     row[k] -= factor * prow[k]
+        if c != pc:  # artificial, so phase 1 is running
+            for k in nz:
+                phase1[k] += prow[k]
+                prow[k] = -prow[k]
         basis[pr] = pc
 
     def run_phase(red: list[Fraction], banned_from: int) -> None:
         budget = 3 * (ncols + m) + 10
         for pivots in itertools.count():
-            neg = [j for j in range(banned_from) if red[j] < 0]
+            neg = ([j for j in range(n + m) if red[j] < 0]
+                   + [j for j in range(n + m, banned_from) if red[col[j]] > 1])
             if not neg:
                 return
             # Bland's rule once over budget: guaranteed finite
-            pc = min(neg, key=red.__getitem__) if pivots < budget else neg[0]
-            ratios = [(tab[i][-1] / tab[i][pc], basis[i], i)
-                      for i in range(m) if tab[i][pc] > 0]
+            pc = min(neg, key=lambda j: red[j] if j < n + m
+                     else 1 - red[col[j]]) if pivots < budget else neg[0]
+            c = col[pc]
+            if c == pc:
+                ratios = [(tab[i][-1] / tab[i][c], basis[i], i)
+                          for i in range(m) if tab[i][c] > 0]
+            else:
+                ratios = [(tab[i][-1] / -tab[i][c], basis[i], i)
+                          for i in range(m) if tab[i][c] < 0]
             if not ratios:
                 raise RuntimeError("unbounded program; covering LPs cannot do this")
             pivot(min(ratios)[2], pc)

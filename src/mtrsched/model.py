@@ -293,6 +293,8 @@ def load_instance(text: str | bytes) -> Instance:
         if not isinstance(rec, dict) or set(rec) != {"tx", "rx", "d"}:
             raise InstanceFormatError(f"demand records must have keys tx, rx, d; got {rec!r}")
         link = (rec["tx"], rec["rx"])
+        if type(link[0]) is not int or type(link[1]) is not int:
+            raise InstanceFormatError(f"demand tx and rx must be integer node ids, got {link!r}")
         if not network.has_link(link):
             raise InstanceFormatError(f"demand given for nonexistent link {link}")
         i = network.link_index(link)

@@ -7,6 +7,11 @@ validation by pairwise conflict scan and per-link coverage sums,
 the Fraction two-phase simplex as it was before its rewrite into one
 augmented tableau, and the branch-and-bound loop as it was before it
 dropped nodes on their parent's bound.
+
+The reference simplex stores every artificial column and updates it on
+every pivot, while the package derives each one from its row's surplus
+column; so the two agree only if that derivation is right, and the
+reference does not rely on it.
 """
 
 import math

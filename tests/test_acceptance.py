@@ -202,9 +202,11 @@ class TestStatisticalReproduction:
             for alg in ("hwf", "mdf"):
                 ratio = ilp_rt / rep.summaries[alg].mean_runtime
                 assert ratio >= 50.0
-        r_h = sym_report.ilp_mean_runtime / sym_report.summaries["hwf"].mean_runtime
-        r_m = sym_report.ilp_mean_runtime / sym_report.summaries["mdf"].mean_runtime
-        ok("runtime ratios", f"exact/hwf {r_h:.0f}x exact/mdf {r_m:.0f}x")
+        ok("runtime ratios", "  ".join(
+            f"{name} exact/{alg} "
+            f"{rep.ilp_mean_runtime / rep.summaries[alg].mean_runtime:.0f}x"
+            for name, rep in (("sym", sym_report), ("asym", asym_report))
+            for alg in ("hwf", "mdf")))
 
 
 # --------------------------------------------------------------------------

@@ -249,6 +249,17 @@ class TestSolve:
         assert code == 2
         assert "not valid JSON" in err
 
+    def test_boolean_and_float_demand_ids_usage_error(self, capsys, tmp_path):
+        # read as node 1, true and 1.0 would give demands (3, 4) and total 7
+        path = tmp_path / "l2.json"
+        path.write_text('{"nodes": 2, "edges": [[1, 2]], "demands": ['
+                        '{"tx": true, "rx": 2, "d": 3},'
+                        ' {"tx": 2, "rx": 1.0, "d": 4}]}')
+        code, stdout, err = run(capsys, "solve", "--alg", "exact", str(path))
+        assert code == 2
+        assert stdout == ""
+        assert "integer node ids" in err
+
     def test_exact_penalty_solves_once(self, capsys, monkeypatch, grid_asym):
         calls = []
 

@@ -193,6 +193,11 @@ class TestInstanceIO:
         ({"nodes": 2, "edges": [[1, 2]],
           "demands": [{"tx": 1, "rx": 2, "d": 1, "w": 0}]},
          "demand records must have keys"),
+        # true and 1.0 hash and compare equal to node 1
+        ({"nodes": 2, "edges": [[1, 2]],
+          "demands": [{"tx": True, "rx": 2, "d": 3}]}, "integer node ids"),
+        ({"nodes": 2, "edges": [[1, 2]],
+          "demands": [{"tx": 2, "rx": 1.0, "d": 4}]}, "integer node ids"),
     ])
     def test_malformed_document(self, doc, message):
         with pytest.raises(InstanceFormatError, match=message):
