@@ -36,14 +36,12 @@ class NotBipartite:
 
 def bipartition(network: Network) -> Bipartition | NotBipartite:
     """Two-color the topology by breadth-first search, or return an odd
-    cycle.  Node 1's component is colored first with node 1 on side A;
-    remaining components start from their lowest node, also on side A.
+    cycle.  Each component starts from its lowest node, on side A, and
+    components are colored in the order of their lowest nodes.
     """
     color: dict[int, int] = {}
     parent: dict[int, int] = {}
-    non_isolated = [v for v in range(1, network.node_count + 1)
-                    if network.neighbors(v)]
-    for start in non_isolated:
+    for start, _ in network.links:  # ascending; isolated nodes never start
         if start in color:
             continue
         color[start] = 0

@@ -245,7 +245,7 @@ def cmd_experiment(args) -> int:
         algorithms=tuple(a.strip() for a in args.algorithms.split(",") if a.strip()),
         jobs=args.jobs)
 
-    if args.demand_ranges:
+    if args.demand_ranges is not None:
         _require(not args.out_json, "--out-json is not written for a "
                  "--demand-ranges sweep; use --out-csv")
         try:

@@ -57,8 +57,9 @@ class ConflictGraph:
         self.n_links = len(links)
         # (i,j) conflicts exactly with the links into i and out of j, so
         # one pass collects per-node masks and a second ORs two of them.
-        into = [0] * (network.node_count + 1)
-        out = [0] * (network.node_count + 1)
+        # every edge gives both orientations: the last link's tx is the top node
+        into = [0] * (links[-1][0] + 1 if links else 1)
+        out = into.copy()
         for a, (i, j) in enumerate(links):
             bit = 1 << a
             out[i] |= bit
@@ -135,7 +136,8 @@ def transpose(network: Network, matching: Iterable[Link]) -> frozenset[Link]:
 
 def maximal_independent_sets(adj: Sequence[int]) -> list[int]:
     """All maximal independent sets of the graph with adjacency bitmasks
-    ``adj``, returned as bitmasks in no particular order.
+    ``adj``, returned as bitmasks in the canonical order (sorted by
+    ascending member index tuples).
 
     Bron-Kerbosch with pivoting, run on the complement graph (maximal
     independent sets are exactly the maximal cliques of the complement).
@@ -171,6 +173,7 @@ def maximal_independent_sets(adj: Sequence[int]) -> list[int]:
             x |= b
 
     expand(0, full, 0)
+    out.sort(key=_mask_bits)
     return out
 
 
@@ -181,9 +184,7 @@ def enumerate_maximal_matching_masks(cg: ConflictGraph) -> list[int]:
         raise SizeLimitError(
             f"{cg.n_links} links exceeds the enumeration cap of {DEFAULT_LINK_CAP}; "
             "use the greedy schedulers for networks this large")
-    masks = maximal_independent_sets(cg.masks)
-    masks.sort(key=_mask_bits)
-    return masks
+    return maximal_independent_sets(cg.masks)
 
 
 def enumerate_maximal_matchings(cg: ConflictGraph) -> list[frozenset[Link]]:
@@ -210,9 +211,7 @@ def enumerate_mis_node_masks(network: Network,
     for a, b in network.edges:
         adj[a - 1] |= 1 << (b - 1)
         adj[b - 1] |= 1 << (a - 1)
-    masks = maximal_independent_sets(adj)
-    masks.sort(key=_mask_bits)
-    return masks
+    return maximal_independent_sets(adj)
 
 
 def enumerate_mis_nodes(network: Network,

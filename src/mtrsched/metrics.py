@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .model import Instance, Link
 from .schedule import Schedule
@@ -41,13 +42,13 @@ def lower_bounds(instance: Instance) -> tuple[int, int]:
     for a, b in net.edges:
         pair = instance.demand_of((a, b)) + instance.demand_of((b, a))
         edge_bound = max(edge_bound, pair)
-    max_in = [0] * (net.node_count + 1)
-    max_out = [0] * (net.node_count + 1)
+    # every edge gives both orientations: the last link's tx is the top node
+    max_in = [0] * (net.links[-1][0] + 1 if net.links else 1)
+    max_out = max_in.copy()
     for (tx, rx), d in zip(net.links, instance.demands):
         max_out[tx] = max(max_out[tx], d)
         max_in[rx] = max(max_in[rx], d)
-    node_bound = max((max_in[v] + max_out[v] for v in range(1, net.node_count + 1)),
-                     default=0)
+    node_bound = max(map(add, max_in, max_out))
     return edge_bound, node_bound
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable
 
 Link = tuple[int, int]
@@ -80,11 +82,9 @@ class Network:
         links.sort()
         self.links: tuple[Link, ...] = tuple(links)
         self._index = {link: i for i, link in enumerate(self.links)}
-        nbrs: dict[int, set[int]] = {v: set() for v in range(1, node_count + 1)}
-        for a, b in self.edges:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        self._neighbors = {v: tuple(sorted(s)) for v, s in nbrs.items()}
+        # a node's links are one run of the sorted list, ascending by rx
+        self._neighbors = {tx: tuple(rx for _, rx in run)
+                           for tx, run in groupby(links, itemgetter(0))}
 
     def link_index(self, link: Link) -> int:
         """Position of ``link`` in the canonical link order."""
@@ -97,7 +97,11 @@ class Network:
         return link in self._index
 
     def neighbors(self, node: int) -> tuple[int, ...]:
-        return self._neighbors[node]
+        """The nodes sharing an edge with ``node``, ascending; ``()`` for a
+        node without links.  KeyError for a node outside 1..node_count."""
+        if not 1 <= node <= self.node_count:
+            raise KeyError(node)
+        return self._neighbors.get(node, ())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Network)

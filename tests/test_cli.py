@@ -453,11 +453,17 @@ class TestExperiment:
         assert code == 2
         assert "nodes=4" in err and "edge_prob=1e-300" in err
 
-    def test_non_integer_demand_ranges_usage_error(self, capsys):
-        code, _, err = run(capsys, "experiment", "--trials", "2", "--seed", "1",
-                           "--n", "4", "--demand-ranges", "10,x", "--symmetric")
-        assert code == 2
-        assert "--demand-ranges" in err
+    def test_non_integer_demand_ranges_usage_error(self, capsys, tmp_path):
+        # an empty list is still a sweep request, not a plain campaign
+        out = tmp_path / "out"
+        for ranges in ("10,x", ""):
+            for out_flag in ("--out-csv", "--out-json"):
+                code, _, err = run(capsys, "experiment", "--trials", "2",
+                                   "--seed", "1", "--n", "4", "--demand-ranges",
+                                   ranges, "--symmetric", out_flag, str(out))
+                assert code == 2, (ranges, out_flag)
+                assert "--demand-ranges" in err
+                assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -48,6 +48,15 @@ class TestNetwork:
             Network(True, [])
 
 
+    def test_neighbors(self):
+        net = Network(6, [(3, 4), (1, 3), (2, 1), (2, 3), (5, 3)])
+        assert [net.neighbors(v) for v in range(1, 7)] == \
+            [(2, 3), (1, 3), (1, 2, 4, 5), (3,), (3,), ()]
+        for node in (0, 7):
+            with pytest.raises(KeyError):
+                net.neighbors(node)
+
+
 class TestGenerators:
     def test_linear_six(self):
         net = gen_linear(6)
