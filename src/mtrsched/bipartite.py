@@ -89,24 +89,14 @@ def two_phase_schedule(instance: Instance, parts: Bipartition) -> Schedule:
     for its direction's maximum demand."""
     net = instance.network
     _check_partition(net, parts)
-    a_links = []
-    b_links = []
-    a_max = 0
-    b_max = 0
-    for link, d in zip(net.links, instance.demands):
-        if d <= 0:
-            continue
-        if link[0] in parts.side_a:
-            a_links.append(link)
-            a_max = max(a_max, d)
-        else:
-            b_links.append(link)
-            b_max = max(b_max, d)
     entries = []
-    if a_links:  # filtered from net.links, so already in canonical order
-        entries.append(ScheduleEntry(tuple(a_links), a_max))
-    if b_links:
-        entries.append(ScheduleEntry(tuple(b_links), b_max))
+    for side in (parts.side_a, parts.side_b):
+        # filtered from net.links, so already in canonical order
+        pairs = [(link, d) for link, d in zip(net.links, instance.demands)
+                 if d > 0 and link[0] in side]
+        if pairs:
+            entries.append(ScheduleEntry(tuple(link for link, _ in pairs),
+                                         max(d for _, d in pairs)))
     return Schedule(tuple(entries))
 
 

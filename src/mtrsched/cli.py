@@ -162,21 +162,7 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     instance = _load_instance_file(args.instance)
     alg = args.alg
-    if alg in experiments.ALGORITHMS:
-        sched = experiments.ALGORITHMS[alg](instance)
-        total = sched.total_slots
-        print(total)
-        out_doc = schedule_to_json(sched)
-    elif alg == "exact":
-        sol = solve_ilp(instance)
-        total = sol.objective
-        print(total)
-        if sol.lp_objective != sol.objective:
-            print(f"note: fractional relaxation {_fmt_fraction(sol.lp_objective)} "
-                  f"is below the integer optimum {sol.objective}",
-                  file=sys.stderr)
-        out_doc = schedule_to_json(sol.schedule)
-    elif alg in ("lp", "mis2p"):
+    if alg in ("lp", "mis2p"):
         if alg == "lp":
             sol = solve_lp(instance)
             key, sets = "links", sol.matchings  # links encode as [tx, rx]
@@ -184,22 +170,30 @@ def cmd_solve(args) -> int:
             sol = solve_mis_suboptimal(instance)
             key, sets = "nodes", sol.node_sets
         total = sol.objective
-        print(_fmt_fraction(total))
         out_doc = json.dumps({
             "objective": str(total),
             "allocation": [{key: sorted(s), "slots": str(u)}
                            for s, u in zip(sets, sol.allocation) if u],
         })
-    else:  # bipartite
-        parts = bipartite.bipartition(instance.network)
-        if isinstance(parts, bipartite.NotBipartite):
-            print(f"error: topology is not bipartite "
-                  f"(odd cycle {list(parts.odd_cycle)})", file=sys.stderr)
-            return EXIT_CAPABILITY
-        sched = bipartite.two_phase_schedule(instance, parts)
+    else:
+        if alg in experiments.ALGORITHMS:
+            sched = experiments.ALGORITHMS[alg](instance)
+        elif alg == "exact":
+            sol = solve_ilp(instance)
+            sched = sol.schedule  # the witness: its total is the optimum
+        else:  # bipartite
+            parts = bipartite.bipartition(instance.network)
+            if isinstance(parts, bipartite.NotBipartite):
+                print(f"error: topology is not bipartite "
+                      f"(odd cycle {list(parts.odd_cycle)})", file=sys.stderr)
+                return EXIT_CAPABILITY
+            sched = bipartite.two_phase_schedule(instance, parts)
         total = sched.total_slots
-        print(total)
         out_doc = schedule_to_json(sched)
+    print(_fmt_fraction(total))
+    if alg == "exact" and sol.lp_objective != total:
+        print(f"note: fractional relaxation {_fmt_fraction(sol.lp_objective)} "
+              f"is below the integer optimum {total}", file=sys.stderr)
 
     if args.penalty:
         _require(total.denominator == 1,

@@ -13,6 +13,9 @@ sort key stay in their previous relative order.  The keys:
 * ``hwf_tiebreak_mdf`` - heaviest residual first, demand ties broken by
   residual degree.
 
+A link's residual degree is read at each sort as the popcount of its
+conflict mask against one live bitmask of the links that still have demand.
+
 Each round's matching is maximal with respect to the still-active links,
 every link is covered exactly as much as it demands, and each round
 exhausts at least one link, so the loop runs at most N times.
@@ -48,33 +51,31 @@ def greedy_rounds(demands: Sequence[int], adj: Sequence[int],
     exhausted links leave the list in place.
     Returns [(member_bitmask, slots), ...].
 
-    Each round costs time linear in the active links: the sorts use
-    C-level keys (``reverse=True`` keeps ties in order, as a negated key
-    would), the hybrid key is two stable sorts, and residual degrees are
-    kept incrementally by removing the links exhausted in each round.
+    A mode is a tuple of stable descending sorts applied in order (HWF:
+    residual; MDF: degree; hybrid: degree, then residual); ``reverse=True``
+    keeps ties in order, as a negated key would.  The degree key is the
+    popcount of a link's conflict mask against ``amask``, the live mask of
+    active links, from which each exhausted link is XORed out.
     Around it, a greedy solve builds the conflict graph and decodes the
     rounds, and callers usually validate and serialise the schedule; that
     work outweighs the rounds themselves (perfbench/ measures the shares).
     """
-    n = len(demands)
     residual = list(demands)
-    active = [v for v in range(n) if residual[v] > 0]
+    active = [v for v in range(len(residual)) if residual[v] > 0]
+    amask = 0
+    for v in active:
+        amask |= 1 << v
     by_residual = residual.__getitem__
-    if mode != HWF:
-        amask = 0
-        for v in active:
-            amask |= 1 << v
-        deg = [(adj[v] & amask).bit_count() for v in range(n)]
-        by_degree = deg.__getitem__
+
+    def by_degree(v: int) -> int:
+        return (adj[v] & amask).bit_count()
+
+    keys = {HWF: (by_residual,), MDF: (by_degree,),
+            HWF_TIE_MDF: (by_degree, by_residual)}[mode]
     rounds: list[tuple[int, int]] = []
     while active:
-        if mode == HWF:
-            active.sort(key=by_residual, reverse=True)
-        elif mode == MDF:
-            active.sort(key=by_degree, reverse=True)
-        else:
-            active.sort(key=by_degree, reverse=True)
-            active.sort(key=by_residual, reverse=True)
+        for key in keys:
+            active.sort(key=key, reverse=True)
         sel = 0
         members = []
         for v in active:
@@ -83,15 +84,11 @@ def greedy_rounds(demands: Sequence[int], adj: Sequence[int],
                 members.append(v)
         slots = min(map(by_residual, members))
         rounds.append((sel, slots))
-        gone = 0
         for v in members:
             residual[v] -= slots
             if not residual[v]:
-                gone |= 1 << v
+                amask ^= 1 << v
         active = [v for v in active if residual[v] > 0]
-        if mode != HWF:
-            for v in active:
-                deg[v] -= (adj[v] & gone).bit_count()
     return rounds
 
 

@@ -123,6 +123,8 @@ class Instance:
     demands: tuple[int, ...]
 
     def __post_init__(self):
+        # a caller's list would stay mutable and unhashable
+        object.__setattr__(self, "demands", tuple(self.demands))
         if len(self.demands) != len(self.network.links):
             raise InstanceFormatError(
                 f"demand vector length {len(self.demands)} does not match "

@@ -87,13 +87,25 @@ class TestTwoPhase:
             inst = Instance(net, tuple(rng.randint(0, 9)
                                        for _ in net.links))
             parts = bipartition(net)
-            sched = two_phase_schedule(inst, parts)
-            a_max = max((d for l, d in zip(net.links, inst.demands)
-                         if l[0] in parts.side_a), default=0)
-            b_max = max((d for l, d in zip(net.links, inst.demands)
-                         if l[0] in parts.side_b), default=0)
-            assert sched.total_slots == a_max + b_max
-            assert validate_schedule(inst, sched) == []
+            # the swapped partition must put side B's entry first
+            for sides in (parts, Bipartition(parts.side_b, parts.side_a)):
+                sched = two_phase_schedule(inst, sides)
+                a_max = max((d for l, d in zip(net.links, inst.demands)
+                             if l[0] in sides.side_a), default=0)
+                b_max = max((d for l, d in zip(net.links, inst.demands)
+                             if l[0] in sides.side_b), default=0)
+                assert sched.total_slots == a_max + b_max
+                assert validate_schedule(inst, sched) == []
+                # one entry per side with positive demand, side A first:
+                # its positive-demand links in link order, for their maximum
+                expected = []
+                for side in (sides.side_a, sides.side_b):
+                    links = tuple(l for l in net.links
+                                  if l[0] in side and inst.demand_of(l) > 0)
+                    if links:
+                        expected.append(
+                            (links, max(map(inst.demand_of, links))))
+                assert [(e.links, e.slots) for e in sched.entries] == expected
 
     def test_upper_bounds_integer_optimum(self):
         rng = random.Random(29)

@@ -5,7 +5,8 @@ import pytest
 from mtrsched.conflict import build_conflict_graph, is_matching, is_maximal
 from mtrsched.heuristics import (HWF, HWF_TIE_MDF, MDF, greedy_rounds, hwf,
                                  hwf_tiebreak_mdf, mdf)
-from mtrsched.model import Instance, gen_grid, gen_linear, gen_ring
+from mtrsched.model import (Instance, gen_complete, gen_grid, gen_linear,
+                            gen_ring)
 from mtrsched.schedule import Schedule
 
 import reference
@@ -132,7 +133,7 @@ class TestProperties:
     @pytest.mark.parametrize("alg", ALL)
     def test_beyond_compiled_mask_width(self, alg):
         # 10-node complete network: 90 links, masks wider than 64 bits
-        from mtrsched.model import gen_complete, gen_demands
+        from mtrsched.model import gen_demands
         net = gen_complete(10)
         inst = Instance(net, gen_demands(net, 1, 10, False, seed=13))
         self._check(inst, alg(inst))
@@ -167,10 +168,22 @@ def test_matches_reference_greedy(alg, mode):
 
 def test_greedy_rounds_match_reference():
     rng = random.Random(13)
+    cases = []
     for _ in range(1000):
         n = rng.randint(0, 40)
         adj = random_graph(rng, n)
-        demands = [rng.randint(0, rng.choice([1, 4, 15])) for _ in range(n)]
+        cases.append(([rng.randint(0, rng.choice([1, 4, 15]))
+                       for _ in range(n)], adj))
+    # regular topologies up to 224 links: many links share every sort key,
+    # so the order carried between rounds decides each round
+    for net in (gen_ring(40), gen_grid(8, 8), gen_complete(12),
+                gen_linear(30), gen_ring(5), gen_grid(3, 3)):
+        adj = build_conflict_graph(net).masks
+        n = len(net.links)
+        cases.append(([5] * n, adj))
+        cases.append(([rng.randint(0, 2) for _ in range(n)], adj))
+        cases.append(([rng.randint(0, 10) for _ in range(n)], adj))
+    for demands, adj in cases:
         for mode in (HWF, MDF, HWF_TIE_MDF):
             assert greedy_rounds(demands, adj, mode) == \
                 reference.greedy_rounds(demands, adj, mode)

@@ -265,3 +265,15 @@ class TestInstanceIO:
         for demands in ((True, 1), (1, False)):
             with pytest.raises(InstanceFormatError, match="non-negative integer"):
                 Instance(gen_linear(2), demands)
+
+    def test_list_demands_stored_as_tuple(self):
+        # a kept list could later hold a demand the checks refuse
+        d = [2, 2, 2, 2]
+        inst = Instance(gen_linear(3), d)
+        assert inst.demands == (2, 2, 2, 2)
+        assert type(inst.demands) is tuple
+        d[0] = -7
+        assert inst.demands == (2, 2, 2, 2)
+        same = Instance(gen_linear(3), (2, 2, 2, 2))
+        assert inst == same
+        assert hash(inst) == hash(same)
