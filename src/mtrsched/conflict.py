@@ -55,15 +55,18 @@ class ConflictGraph:
         self.network = network
         links = network.links
         self.n_links = len(links)
-        # (i,j) conflicts exactly with the links into i and out of j, so
-        # one pass collects per-node masks and a second ORs two of them.
-        # every edge gives both orientations: the last link's tx is the top node
-        into = [0] * (links[-1][0] + 1 if links else 1)
-        out = into.copy()
-        for a, (i, j) in enumerate(links):
-            bit = 1 << a
-            out[i] |= bit
-            into[j] |= bit
+        # (i,j) conflicts exactly with the links into i and out of j.  The
+        # masks are keyed by the nodes that have links, whatever their
+        # labels; a node's outgoing links are one run of the sorted list.
+        runs = network._neighbors
+        into = dict.fromkeys(runs, 0)
+        out = {}
+        start = 0
+        for v, nbrs in runs.items():
+            out[v] = ((1 << len(nbrs)) - 1) << start
+            start += len(nbrs)
+        for a, (_, j) in enumerate(links):
+            into[j] |= 1 << a
         self.masks: tuple[int, ...] = tuple(into[i] | out[j] for i, j in links)
 
     def adjacent(self, a: Link, b: Link) -> bool:
@@ -139,40 +142,32 @@ def maximal_independent_sets(adj: Sequence[int]) -> list[int]:
     ``adj``, returned as bitmasks in the canonical order (sorted by
     ascending member index tuples).
 
-    Bron-Kerbosch with pivoting, run on the complement graph (maximal
-    independent sets are exactly the maximal cliques of the complement).
+    Bron-Kerbosch with pivoting, on ``adj`` itself: a set R grows by a
+    candidate b of P, and b's closed neighbourhood leaves P and the
+    excluded set X.  The pivot u is the lowest vertex of X, or of P when X
+    is empty, and only the candidates in u's closed neighbourhood are
+    branched on.  Any u in P | X is a valid pivot: a maximal set extending
+    R that held neither u nor a neighbour of u could add u.  The branch
+    order depends on the pivot, hence the final sort.
     """
-    n = len(adj)
-    full = (1 << n) - 1
-    # complement adjacency: non[v] = vertices compatible with v
-    non = [~adj[v] & full & ~(1 << v) for v in range(n)]
+    closed = [a | 1 << v for v, a in enumerate(adj)]
     out: list[int] = []
 
     def expand(r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
             out.append(r)
             return
-        # pivot on the vertex of P|X covering most of P
-        m = p | x
-        best_cov = -1
-        best = 0
-        while m:
-            b = m & -m
-            m ^= b
-            cov = (p & non[b.bit_length() - 1]).bit_count()
-            if cov > best_cov:
-                best_cov = cov
-                best = b.bit_length() - 1
-        cand = p & ~non[best]
+        u = x & -x if x else p & -p
+        cand = p & closed[u.bit_length() - 1]
         while cand:
             b = cand & -cand
             cand ^= b
-            nv = non[b.bit_length() - 1]
-            expand(r | b, p & nv, x & nv)
+            keep = ~closed[b.bit_length() - 1]
+            expand(r | b, p & keep, x & keep)
             p ^= b
             x |= b
 
-    expand(0, full, 0)
+    expand(0, (1 << len(adj)) - 1, 0)
     out.sort(key=_mask_bits)
     return out
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from .model import Instance, Link
 from .schedule import Schedule
@@ -42,13 +41,13 @@ def lower_bounds(instance: Instance) -> tuple[int, int]:
     for a, b in net.edges:
         pair = instance.demand_of((a, b)) + instance.demand_of((b, a))
         edge_bound = max(edge_bound, pair)
-    # every edge gives both orientations: the last link's tx is the top node
-    max_in = [0] * (net.links[-1][0] + 1 if net.links else 1)
+    # keyed by the nodes that have links, whatever their labels
+    max_in = dict.fromkeys(net._neighbors, 0)
     max_out = max_in.copy()
     for (tx, rx), d in zip(net.links, instance.demands):
         max_out[tx] = max(max_out[tx], d)
         max_in[rx] = max(max_in[rx], d)
-    node_bound = max(map(add, max_in, max_out))
+    node_bound = max([max_in[v] + max_out[v] for v in max_in], default=0)
     return edge_bound, node_bound
 
 

@@ -5,8 +5,9 @@ the maximal matchings must equal, the greedy kernel with
 explicit sort keys and per-round degree recomputation, schedule
 validation by pairwise conflict scan and per-link coverage sums,
 the Fraction two-phase simplex as it was before its rewrite into one
-augmented tableau, and the branch-and-bound loop as it was before it
-dropped nodes on their parent's bound.
+augmented tableau, the branch-and-bound loop as it was before it
+dropped nodes on their parent's bound, and the closed-form optimum of
+unit demands.
 
 The reference simplex stores every artificial column and updates it on
 every pivot, while the package derives each one from its row's surplus
@@ -16,6 +17,7 @@ reference does not rely on it.
 
 import math
 from fractions import Fraction
+from itertools import count
 
 from mtrsched import exact, heuristics
 from mtrsched.conflict import (build_conflict_graph,
@@ -69,6 +71,42 @@ def directed_cuts(network):
     return {frozenset((a, b) for a, b in network.links
                       if t >> (a - 1) & 1 and not t >> (b - 1) & 1)
             for t in range(1 << network.node_count)}
+
+
+def chromatic_number(network):
+    """The least number of colours that properly colour the topology, by
+    backtracking.  A node may take a used colour or the next new one, so
+    no colouring is tried twice up to renaming."""
+    n = network.node_count
+    if not network.edges:
+        return 1
+    colour = [0] * (n + 1)
+
+    def fits(v, used, k):
+        if v > n:
+            return True
+        for c in range(min(used + 1, k)):
+            if all(colour[w] != c for w in network.neighbors(v) if w < v):
+                colour[v] = c
+                if fits(v + 1, max(used, c + 1), k):
+                    return True
+        return False
+
+    return next(k for k in count(2) if fits(1, 0, k))
+
+
+def sperner_optimum(network):
+    """The optimum frame length when every link has demand 1: the least k
+    with C(k, k // 2) >= the chromatic number.
+
+    Node u transmitting in slot set S_u serves both directions of an edge
+    uv iff S_u and S_v are incomparable.  Adjacent nodes thus need
+    incomparable subsets of the k slots.  The subsets split into
+    C(k, k // 2) chains (Sperner, Dilworth), and chain membership colours
+    the graph; conversely a distinct k // 2-subset per colour class serves
+    every link."""
+    chi = chromatic_number(network)
+    return next(k for k in count() if math.comb(k, k // 2) >= chi)
 
 
 def greedy_rounds(demands, adj, mode):

@@ -29,9 +29,10 @@ from mtrsched.experiments import (ExperimentConfig, run_demand_range_sweep,
                                   run_experiment)
 from mtrsched.heuristics import hwf, hwf_tiebreak_mdf, mdf
 from mtrsched.metrics import lower_bounds, validate_schedule
-from mtrsched.model import Instance, gen_grid, gen_linear, gen_ring
+from mtrsched.model import Instance, gen_complete, gen_grid, gen_linear, gen_ring
 
 from helpers import all_networks, random_instance
+from reference import sperner_optimum
 from test_exact import exhaustive_min_slots
 
 MASTER_SEED = 42
@@ -130,6 +131,16 @@ class TestFixtureExactness:
         assert dt < 1.0
         ok("matching structure",
            "6 maximal matchings, 3 node sets, non-induced witness")
+
+    def test_unit_demand_complete_graphs(self):
+        # records greedy against the closed-form optimum and gates nothing:
+        # the paper's near-optimal average does not bound the worst case
+        rows = []
+        for n in (6, 12, 20):
+            inst = Instance(gen_complete(n), (1,) * (n * (n - 1)))
+            totals = "/".join(str(alg(inst).total_slots) for alg in ALGS.values())
+            rows.append(f"K{n} greedy {totals} opt {sperner_optimum(inst.network)}")
+        ok("unit-demand complete graphs", "; ".join(rows))
 
 
 # --------------------------------------------------------------------------

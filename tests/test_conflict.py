@@ -10,7 +10,7 @@ from mtrsched.conflict import (SizeLimitError, build_conflict_graph,
                                enumerate_mis_nodes, induced_matchings,
                                is_matching, is_maximal,
                                maximal_independent_sets, transpose)
-from mtrsched.model import Network, gen_complete, gen_linear
+from mtrsched.model import Network, gen_complete, gen_grid, gen_linear, gen_ring
 
 import reference
 from helpers import all_networks, random_graph
@@ -23,6 +23,13 @@ def networks(draw):
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     return Network(n, draw(st.lists(st.sampled_from(pairs), unique=True,
                                     max_size=80)))
+
+
+def canonical(masks):
+    """Masks sorted by ascending member index tuples, decoded here rather
+    than by the package."""
+    return sorted(masks, key=lambda m: [v for v in range(m.bit_length())
+                                        if m >> v & 1])
 
 
 def semantic_conflict(a, b):
@@ -185,8 +192,25 @@ class TestEnumeration:
         rng = random.Random(3)
         for _ in range(300):
             adj = random_graph(rng, rng.randint(0, 10))
-            assert sorted(maximal_independent_sets(adj)) == \
-                reference.maximal_independent_sets(adj)
+            assert maximal_independent_sets(adj) == \
+                canonical(reference.maximal_independent_sets(adj))
+
+    @pytest.mark.parametrize("net, count", [
+        (gen_ring(15), 1366), (gen_linear(16), 1220),
+        (gen_complete(6), 62), (gen_grid(3, 3), 126)],
+        ids=["ring15", "line16", "K6", "grid3x3"])
+    def test_cap_size_matchings_are_maximal_directed_cuts(self, net, count):
+        # a cut is maximal iff every outside link (a, b) conflicts with it:
+        # a receives in the cut or b transmits in it
+        maximal = []
+        for cut in reference.directed_cuts(net):
+            txs = {a for a, _ in cut}
+            rxs = {b for _, b in cut}
+            if all(a in rxs or b in txs for a, b in net.links if (a, b) not in cut):
+                maximal.append(cut)
+        found = enumerate_maximal_matchings(build_conflict_graph(net))
+        assert len(found) == count
+        assert found == sorted(maximal, key=sorted)
 
     def test_maximal_independent_sets_of_empty_graph(self):
         assert maximal_independent_sets([]) == [0]
@@ -210,10 +234,9 @@ class TestNodeSets:
                 adj[a - 1] |= 1 << (b - 1)
                 adj[b - 1] |= 1 << (a - 1)
             masks = enumerate_mis_node_masks(net)
-            assert sorted(masks) == reference.maximal_independent_sets(adj)
+            assert masks == canonical(reference.maximal_independent_sets(adj))
             members = [tuple(v for v in range(net.node_count) if m >> v & 1)
                        for m in masks]
-            assert members == sorted(members)
             assert enumerate_mis_nodes(net) == [
                 frozenset(v + 1 for v in t) for t in members]
 

@@ -18,9 +18,15 @@ from mtrsched.schedule import schedule_to_json
 
 from helpers import all_networks, random_instance
 from reference import (_simplex_min_ge as reference_simplex, directed_cuts,
-                       maximal_independent_sets, solve_ilp_unpruned)
+                       maximal_independent_sets, solve_ilp_unpruned,
+                       sperner_optimum)
 
 F = Fraction
+
+# complete graphs with equal demands and a fractional root LP, as
+# (n, demand, lp_objective, objective); on K4 the integer optimum
+# exceeds the rounded-up root LP
+FRACTIONAL_ROOT_FIXTURES = [(4, 1, F(3), 4), (4, 3, F(9), 10), (5, 2, F(20, 3), 7)]
 
 
 def fr(rows):
@@ -287,6 +293,24 @@ class TestScipyOracle:
             assert lp.success
             assert abs(float(sol.objective) - lp.fun) < 1e-7 * lp.fun
 
+    def test_fractional_root_fixtures_match_highs(self):
+        # the pinned values of TestSolveIlp.test_fractional_root_fixtures;
+        # the formula covers only unit demands, so HiGHS checks the rest
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        for n, d, lp_objective, objective in FRACTIONAL_ROOT_FIXTURES:
+            net = gen_complete(n)
+            cuts = directed_cuts(net) - {frozenset()}
+            cover = [[1 if link in c else 0 for c in cuts] for link in net.links]
+            ilp = scipy_opt.milp(
+                [1] * len(cuts), integrality=[1] * len(cuts),
+                constraints=scipy_opt.LinearConstraint(cover, lb=[d] * len(cover)))
+            assert ilp.success and round(ilp.fun) == objective
+            lp = scipy_opt.linprog(
+                [1] * len(cuts), A_ub=[[-a for a in row] for row in cover],
+                b_ub=[-d] * len(cover), method="highs")
+            assert lp.success
+            assert abs(float(lp_objective) - lp.fun) < 1e-7 * lp.fun
+
 
 class TestSolveLp:
     def test_four_node(self, four_node_instance):
@@ -424,6 +448,34 @@ class TestSolveIlp:
         sol = solve_ilp(inst)
         assert sol.lp_objective == F(5, 2)
         assert sol.objective == 3
+
+    @pytest.mark.parametrize("n, d, lp_objective, objective",
+                             FRACTIONAL_ROOT_FIXTURES)
+    def test_fractional_root_fixtures(self, n, d, lp_objective, objective):
+        sol = solve_ilp(Instance(gen_complete(n), (d,) * (n * (n - 1))))
+        assert (sol.lp_objective, sol.objective) == (lp_objective, objective)
+        if d == 1:
+            assert objective == sperner_optimum(gen_complete(n))
+
+    def test_unit_demands_match_sperner_optimum(self):
+        # only branching proves the gap instances, where the optimum
+        # exceeds the rounded-up root LP, and the fixed 7-node network:
+        # its root LP is 3 but the greedies take 4, and the search finds an
+        # integral allocation of 3 only below depth two
+        rng = random.Random(16)
+        nets = [Network(7, [(1, 2), (1, 3), (1, 5), (1, 6), (2, 4), (2, 6),
+                            (2, 7), (3, 4), (4, 7), (5, 7), (6, 7)])]
+        while len(nets) < 91:
+            net = _random_network(rng.randint(2, 6),
+                                  rng.choice([0.3, 0.5, 0.8]), rng)
+            if net.links:
+                nets.append(net)
+        gaps = 0
+        for net in nets:
+            sol = solve_ilp(Instance(net, (1,) * len(net.links)))
+            assert sol.objective == sperner_optimum(net)
+            gaps += sol.objective > math.ceil(sol.lp_objective)
+        assert gaps >= 5
 
     def test_matches_exhaustive_search_on_tiny_instances(self):
         rng = random.Random(99)

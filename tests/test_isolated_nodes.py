@@ -1,14 +1,15 @@
-"""A declared node without links changes no answer and costs no memory.
+"""A declared node without links changes no answer and costs no memory,
+and neither does a high node label.
 
 Every solver except ``mis2p`` works from the sorted link list, so extra
 isolated nodes must leave its output identical, and a huge declared node
-count must not be paid for per node.
+count or linked node label must not be paid for per node.
 """
 
 import random
 import tracemalloc
 
-from mtrsched.bipartite import bipartition
+from mtrsched.bipartite import bipartition, two_phase_schedule
 from mtrsched.conflict import build_conflict_graph
 from mtrsched.exact import solve_ilp, solve_lp
 from mtrsched.heuristics import hwf, hwf_tiebreak_mdf, mdf
@@ -50,3 +51,27 @@ def test_huge_node_count_costs_no_memory():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def test_high_node_label_costs_no_memory():
+    tracemalloc.start()
+    try:
+        inst = Instance(Network(10**6, [(1, 10**6)]), (3, 4))
+        assert hwf(inst).total_slots == 7
+        assert solve_ilp(inst).objective == 7
+        assert lower_bounds(inst) == (7, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def test_node_label_beyond_index_range():
+    top = 2**63 - 1  # no list can have this many entries
+    inst = Instance(Network(top, [(1, top)]), (1, 1))
+    assert [alg(inst).total_slots for alg in (hwf, mdf, hwf_tiebreak_mdf)] \
+        == [2, 2, 2]
+    assert solve_ilp(inst).objective == 2
+    assert solve_lp(inst).objective == 2
+    assert lower_bounds(inst) == (2, 2)
+    assert two_phase_schedule(inst, bipartition(inst.network)).total_slots == 2
