@@ -45,7 +45,6 @@ def bipartition(network: Network) -> Bipartition | NotBipartite:
         if start in color:
             continue
         color[start] = 0
-        parent[start] = 0
         queue = deque([start])
         while queue:
             v = queue.popleft()
@@ -63,24 +62,16 @@ def bipartition(network: Network) -> Bipartition | NotBipartite:
 
 def _odd_cycle(parent: dict[int, int], v: int, w: int) -> tuple[int, ...]:
     """Close the cycle through the BFS-tree paths of v and w up to their
-    lowest common ancestor.  Same-colored endpoints make it odd."""
-    ancestors = {}
-    u = v
-    while u:
-        ancestors[u] = len(ancestors)
-        u = parent[u]
-    u = w
-    path_w = []
-    while u not in ancestors:
-        path_w.append(u)
-        u = parent[u]
-    lca = u
-    path_v = []
-    u = v
-    while u != lca:
-        path_v.append(u)
-        u = parent[u]
-    return tuple(path_v + [lca] + list(reversed(path_w)))
+    lowest common ancestor.  Color is BFS-depth parity and neighbors
+    differ by at most one level, so same-colored v and w sit at the same
+    depth: their parent chains meet when walked in step, and the cycle
+    is odd."""
+    path_v, path_w = [v], [w]
+    while v != w:
+        v, w = parent[v], parent[w]
+        path_v.append(v)
+        path_w.append(w)
+    return tuple(path_v + path_w[-2::-1])
 
 
 def two_phase_schedule(instance: Instance, parts: Bipartition) -> Schedule:

@@ -1,9 +1,10 @@
 """Exact schedulers: rational LP over all maximal matchings, integer
 branch-and-bound on top of it, and the all-outgoing-links relaxation.
 
-Everything here runs on exact rational arithmetic (fractions.Fraction);
+Everything here is exact: the LP data are ints, the simplex divides
+only through fractions.Fraction, and every LP result is a Fraction;
 there are no floating-point tolerances anywhere.  Exactness is not cheap:
-the Fraction simplex takes nearly all of an exact solve's time, far more
+the rational simplex takes nearly all of an exact solve's time, far more
 than enumeration or the greedy seeding (perfbench/ measures the shares).
 
 The solvers stay on bitmasks from enumeration to witness and decode
@@ -53,7 +54,8 @@ class IlpSolution:
     """Optimal integer slot allocation and the schedule it induces.
 
     lp_objective carries the root fractional relaxation; it differs from
-    the integer objective exactly when the relaxation is not integral.
+    the integer objective exactly when the root LP lies below the optimum,
+    which an integral LP can too (unit-demand K4: LP 3, optimum 4).
     """
 
     objective: int
@@ -73,30 +75,26 @@ class MisSolution:
     node_sets: tuple[frozenset[int], ...]
 
 
-def _simplex_min_ge(cost: list[Fraction], rows: list[list[Fraction]],
-                    rhs: list[Fraction]) -> tuple[Fraction, list[Fraction]] | None:
+def _simplex_min_ge(cost: list[int], rows: list[list[int]],
+                    rhs: list[int]) -> tuple[Fraction, list[Fraction]] | None:
     """Minimize cost.x subject to rows.x >= rhs, x >= 0, exactly; None
     when the constraints admit no solution.
 
+    The data are ints (Fractions work too).  The pivot and the ratio test
+    divide through Fraction, so entries stay ints while the pivots are on
+    1s; the objective and x come back as Fractions.
+
     Two-phase simplex on one augmented tableau.  Its m constraint rows
-    span the n structural columns, one surplus column per row and the
-    right-hand side as the last column; below them sit the phase-2 and the
-    phase-1 reduced-cost rows, which every pivot updates with the rest
-    (the phase-1 row until phase 1 ends).  Row i reads
+    span the n structural columns, one surplus column per row, one
+    artificial column per row with rhs > 0, and the right-hand side as the
+    last column; below them sit the phase-2 and the phase-1 reduced-cost
+    rows, which every pivot updates with the rest (the phase-1 row until
+    phase 1 ends).  Row i reads
     a.x - s_i + t_i = b (artificial t_i basic) when b > 0, else
     -a.x + s_i = -b (surplus s_i basic).  Every row owns a surplus column
     no other row touches, so the rows are independent: a basic artificial
     left after phase 1 always has a nonzero structural or surplus entry
     to pivot on.
-
-    The artificial columns are numbered n+m onwards (one per row with
-    b > 0, in row order) but never stored.  In the starting tableau t_i's
-    column is minus s_i's in every constraint row and in the phase-2 row,
-    and its phase-1 reduced cost is 1 minus s_i's; every pivot is linear,
-    so both relations hold throughout.  t_i's entries are therefore read
-    as -row[s_i], its phase-1 reduced cost as 1 - phase1[s_i], and a pivot
-    on t_i is one on s_i whose pivot row is then added to the phase-1 row
-    and negated.
 
     Entering column: most negative reduced cost, lowest index on ties,
     switching to Bland's rule (lowest negative index) after
@@ -107,21 +105,20 @@ def _simplex_min_ge(cost: list[Fraction], rows: list[list[Fraction]],
     n = len(cost)
     arts = [i for i in range(m) if rhs[i] > 0]
     ncols = n + m + len(arts)
-    # tableau column read for each column number: artificial t_i -> s_i
-    col = list(range(n + m)) + [n + i for i in arts]
-    tab: list[list[Fraction]] = []
+    tab: list[list[int | Fraction]] = []
     basis: list[int] = []
     for i in range(m):
         pos = rhs[i] > 0
-        row = [a if pos else -a for a in rows[i]] + [_ZERO] * (m + 1)
-        row[n + i] = -_ONE if pos else _ONE
+        row = [a if pos else -a for a in rows[i]] + [0] * (ncols - n + 1)
+        row[n + i] = -1 if pos else 1
         row[-1] = rhs[i] if pos else -rhs[i]
         tab.append(row)
         basis.append(n + i)
     for k, i in enumerate(arts, n + m):
+        tab[i][k] = 1
         basis[i] = k
-    phase2 = list(cost) + [_ZERO] * (m + 1)
-    phase1 = [_ZERO] * (n + m + 1)
+    phase2 = list(cost) + [0] * (ncols - n + 1)
+    phase1 = [0] * (n + m) + [1] * len(arts) + [0]
     for i in arts:
         for k, a in enumerate(tab[i]):
             if a:
@@ -130,40 +127,28 @@ def _simplex_min_ge(cost: list[Fraction], rows: list[list[Fraction]],
 
     def pivot(pr: int, pc: int) -> None:
         prow = tab[pr]
-        c = col[pc]
         nz = [k for k, a in enumerate(prow) if a]
-        inv = _ONE / prow[c]
+        inv = _ONE / prow[pc]
         if inv != 1:
             for k in nz:
                 prow[k] *= inv
         for row in tab:
-            factor = row[c]
+            factor = row[pc]
             if factor and row is not prow:
                 for k in nz:
                     row[k] -= factor * prow[k]
-        if c != pc:  # artificial, so phase 1 is running
-            for k in nz:
-                phase1[k] += prow[k]
-                prow[k] = -prow[k]
         basis[pr] = pc
 
-    def run_phase(red: list[Fraction], banned_from: int) -> None:
+    def run_phase(red: list[int | Fraction], banned_from: int) -> None:
         budget = 3 * (ncols + m) + 10
         for pivots in itertools.count():
-            neg = ([j for j in range(n + m) if red[j] < 0]
-                   + [j for j in range(n + m, banned_from) if red[col[j]] > 1])
+            neg = [j for j in range(banned_from) if red[j] < 0]
             if not neg:
                 return
             # Bland's rule once over budget: guaranteed finite
-            pc = min(neg, key=lambda j: red[j] if j < n + m
-                     else 1 - red[col[j]]) if pivots < budget else neg[0]
-            c = col[pc]
-            if c == pc:
-                ratios = [(tab[i][-1] / tab[i][c], basis[i], i)
-                          for i in range(m) if tab[i][c] > 0]
-            else:
-                ratios = [(tab[i][-1] / -tab[i][c], basis[i], i)
-                          for i in range(m) if tab[i][c] < 0]
+            pc = min(neg, key=red.__getitem__) if pivots < budget else neg[0]
+            ratios = [(Fraction(tab[i][-1], tab[i][pc]), basis[i], i)
+                      for i in range(m) if tab[i][pc] > 0]
             if not ratios:
                 raise RuntimeError("unbounded program; covering LPs cannot do this")
             pivot(min(ratios)[2], pc)
@@ -180,38 +165,36 @@ def _simplex_min_ge(cost: list[Fraction], rows: list[list[Fraction]],
     x = [_ZERO] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tab[i][-1]
-    return -phase2[-1], x
+            x[basis[i]] = Fraction(tab[i][-1])
+    return Fraction(-phase2[-1]), x
 
 
 def _covering_lp(col_masks: list[int], n_rows: int, demands: Sequence[int],
                  bounds: dict[int, tuple[int, int | None]] | None = None,
                  ) -> tuple[Fraction, list[Fraction]] | None:
     """min sum(u) s.t. coverage >= demands plus optional per-column integer
-    bounds; None when infeasible, which no caller's program is: every link
-    (node) lies in a maximal matching (independent set), and a B&B child
-    of a column at parent value v sets lo = ceil(v) <= hi, which only adds
-    coverage, or hi = floor(v) >= lo, made up by the other columns at their
-    integer upper bounds, which cover d - v, hence d - floor(v)."""
+    bounds, as int data; None when infeasible, which no caller's program
+    is: every link (node) lies in a maximal matching (independent set),
+    and a B&B child of a column at parent value v sets lo = ceil(v) <= hi,
+    which only adds coverage, or hi = floor(v) >= lo, made up by the other
+    columns at their integer upper bounds, which cover d - v, hence
+    d - floor(v)."""
     k = len(col_masks)
-    rows = []
-    rhs = []
-    for i in range(n_rows):
-        rows.append([_ONE if (col_masks[j] >> i) & 1 else _ZERO for j in range(k)])
-        rhs.append(Fraction(demands[i]))
+    rows = [[(mask >> i) & 1 for mask in col_masks] for i in range(n_rows)]
+    rhs = list(demands)
     if bounds:
         for j, (lo, hi) in sorted(bounds.items()):
             if lo > 0:
-                row = [_ZERO] * k
-                row[j] = _ONE
+                row = [0] * k
+                row[j] = 1
                 rows.append(row)
-                rhs.append(Fraction(lo))
+                rhs.append(lo)
             if hi is not None:
-                row = [_ZERO] * k
-                row[j] = -_ONE
+                row = [0] * k
+                row[j] = -1
                 rows.append(row)
-                rhs.append(Fraction(-hi))
-    return _simplex_min_ge([_ONE] * k, rows, rhs)
+                rhs.append(-hi)
+    return _simplex_min_ge([1] * k, rows, rhs)
 
 
 def solve_lp(instance: Instance) -> LpSolution:

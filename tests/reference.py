@@ -9,10 +9,10 @@ augmented tableau, the branch-and-bound loop as it was before it
 dropped nodes on their parent's bound, and the closed-form optimum of
 unit demands.
 
-The reference simplex stores every artificial column and updates it on
-every pivot, while the package derives each one from its row's surplus
-column; so the two agree only if that derivation is right, and the
-reference does not rely on it.
+The reference simplex keeps the right-hand side apart from its tableau
+and prices each phase's costs afresh, while the package carries both in
+one augmented tableau.  Feed the reference Fraction data only: its ratio
+test divides with `/`, which on ints gives an inexact float.
 """
 
 import math

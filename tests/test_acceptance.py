@@ -13,6 +13,7 @@ Three blocks:
   ten thousand cases in total, all seeds fixed.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -166,7 +167,30 @@ def sweep_reports():
     return run_demand_range_sweep(cfg, [10, 20, 30, 40, 50])
 
 
+def csv_digest(report):
+    """sha256 of the campaign CSV without its rt_* runtime columns, lines
+    joined by newlines with no trailing newline."""
+    lines = report.to_csv().splitlines()
+    keep = [i for i, h in enumerate(lines[0].split(","))
+            if not h.startswith("rt_")]
+    text = "\n".join(",".join(line.split(",")[i] for i in keep)
+                     for line in lines)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestStatisticalReproduction:
+    @pytest.mark.parametrize("name, digest", [
+        ("sym_report",
+         "d133c8e130028d9bb0603beac73a0111faed21f3bd703817d1e751d45061fc14"),
+        ("asym_report",
+         "657d0f94f5085e8233eba1910a7597687f22825b353217921d7640f8e2112527"),
+    ])
+    def test_campaign_csv_is_pinned(self, request, name, digest):
+        # every trial's optimum, LP value, greedy totals and penalties,
+        # bit for bit; only the measured runtimes may move
+        assert csv_digest(request.getfixturevalue(name)) == digest
+        ok(f"{name} CSV digest", digest[:8])
+
     def test_symmetric_penalty_bands(self, sym_report):
         ph = float(sym_report.summaries["hwf"].mean_penalty)
         pm = float(sym_report.summaries["mdf"].mean_penalty)

@@ -192,6 +192,17 @@ class TestSolve:
         assert code == 3
         assert "not bipartite" in err
 
+    def test_bipartite_on_odd_ring_names_the_cycle(self, capsys, tmp_path):
+        path = tmp_path / "ring5.json"
+        code, _, _ = run(capsys, "gen", "--topology", "ring", "--n", "5",
+                         "--demand", "fixed:1", "--out", str(path))
+        assert code == 0
+        code, stdout, err = run(capsys, "solve", "--alg", "bipartite", str(path))
+        assert code == 3
+        assert stdout == ""
+        assert err == ("error: topology is not bipartite "
+                       "(odd cycle [3, 2, 1, 5, 4])\n")
+
     def test_bipartite_on_tree(self, capsys, tmp_path):
         code, _, _ = run(capsys, "gen", "--topology", "linear", "--n", "4",
                          "--demand", "fixed:2", "--out",

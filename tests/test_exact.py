@@ -171,12 +171,13 @@ class TestSimplex:
             assert got_pivots == want_pivots
 
     def test_pivot_sequence_matches_reference_when_artificial_reenters(self):
-        # an artificial column that left the basis can re-enter in phase 1;
-        # the simplex derives that column from its row's surplus column, so
-        # pin the pivots of the campaign-distribution LPs (root and
-        # branch-and-bound nodes; 6 nodes, p=0.5, demands 1..10, half
-        # symmetric) where the reference simplex, which stores the column,
-        # enters one: 13 LPs from ten of the seeds 0..299 that have one
+        # an artificial column that left the basis can re-enter in phase 1,
+        # which the random corpora above rarely reach; so pin the pivots of
+        # the campaign-distribution LPs (root and branch-and-bound nodes;
+        # 6 nodes, p=0.5, demands 1..10, half symmetric) where the
+        # reference simplex enters one: 13 LPs from ten of the seeds
+        # 0..299 that have one.  The package gets the int programs that
+        # _covering_lp builds, the reference exact Fraction copies of them
         programs = []
 
         def record(cost, rows, rhs):
@@ -192,7 +193,9 @@ class TestSimplex:
                 solve_ilp(Instance(net, demands))
         reentering = 0
         for cost, rows, rhs in programs:
-            want, want_pivots = _pivot_calls(reference_simplex, cost, rows, rhs)
+            want, want_pivots = _pivot_calls(
+                reference_simplex, [F(c) for c in cost], fr(rows),
+                [F(b) for b in rhs])
             if all(pc < len(cost) + len(rows) for _, pc in want_pivots):
                 continue
             reentering += 1
@@ -200,6 +203,27 @@ class TestSimplex:
             assert got == want
             assert got_pivots == want_pivots
         assert reentering >= 8
+
+    def test_int_data_beyond_float_precision(self):
+        # int / int is a float, which cannot tell 2**60 + 1 from 2**60 - 3:
+        # a float ratio test picks the wrong leaving row here and returns
+        # 2**61 - 2, below the node bound
+        inst = Instance(gen_linear(3), (2**60 + 1, 2**60 + 1, 2**60 - 3, 4))
+        bound = lower_bounds(inst)[1]
+        assert bound == 2**61 + 2
+        lp = solve_lp(inst)
+        ilp = solve_ilp(inst)
+        assert lp.objective == ilp.objective == ilp.lp_objective == bound
+        assert type(ilp.lp_objective) is Fraction
+        assert all(type(v) is Fraction for v in lp.allocation)
+        masks = conflict.enumerate_maximal_matching_masks(
+            conflict.build_conflict_graph(inst.network))
+        rows = [[m >> i & 1 for m in masks] for i in range(4)]
+        rhs = list(inst.demands)
+        want = _simplex_min_ge([F(1)] * len(masks), fr(rows),
+                               [F(b) for b in rhs])
+        assert want[0] == bound
+        assert _simplex_min_ge([1] * len(masks), rows, rhs) == want
 
     def test_matches_scipy_on_random_covering(self):
         scipy_opt = pytest.importorskip("scipy.optimize")
@@ -216,6 +240,7 @@ class TestSimplex:
             cost = [rng.randint(1, 4) for _ in range(n)]
             obj, x = _simplex_min_ge([F(c) for c in cost], fr(rows),
                                      [F(b) for b in rhs])
+            assert _simplex_min_ge(cost, rows, rhs) == (obj, x)
             assert all(sum(F(a) * v for a, v in zip(row, x)) >= b
                        for row, b in zip(rows, rhs))
             res = scipy_opt.linprog(
