@@ -41,7 +41,7 @@ def bipartition(network: Network) -> Bipartition | NotBipartite:
     """
     color: dict[int, int] = {}
     parent: dict[int, int] = {}
-    for start, _ in network.links:  # ascending; isolated nodes never start
+    for start in network._neighbors:  # ascending; isolated nodes never start
         if start in color:
             continue
         color[start] = 0

@@ -209,7 +209,12 @@ def cmd_solve(args) -> int:
 
 
 def _fmt_fraction(x: Fraction) -> str:
-    return str(int(x)) if x.denominator == 1 else f"{x} ({float(x):.4f})"
+    if x.denominator == 1:
+        return str(int(x))
+    try:
+        return f"{x} ({float(x):.4f})"
+    except OverflowError:  # beyond float range: the exact value alone
+        return str(x)
 
 
 def cmd_validate(args) -> int:

@@ -209,12 +209,11 @@ def enumerate_mis_node_masks(network: Network,
     return maximal_independent_sets(adj)
 
 
-def enumerate_mis_nodes(network: Network,
-                        cap: int = DEFAULT_NODE_CAP) -> list[frozenset[int]]:
+def enumerate_mis_nodes(network: Network) -> list[frozenset[int]]:
     """All maximal independent sets of the undirected topology graph,
     sorted by their sorted node tuples."""
     return [frozenset(b + 1 for b in _mask_bits(m))
-            for m in enumerate_mis_node_masks(network, cap)]
+            for m in enumerate_mis_node_masks(network)]
 
 
 def induced_matchings(network: Network,

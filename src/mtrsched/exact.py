@@ -169,7 +169,7 @@ def _simplex_min_ge(cost: list[int], rows: list[list[int]],
     return Fraction(-phase2[-1]), x
 
 
-def _covering_lp(col_masks: list[int], n_rows: int, demands: Sequence[int],
+def _covering_lp(col_masks: list[int], demands: Sequence[int],
                  bounds: dict[int, tuple[int, int | None]] | None = None,
                  ) -> tuple[Fraction, list[Fraction]] | None:
     """min sum(u) s.t. coverage >= demands plus optional per-column integer
@@ -180,8 +180,8 @@ def _covering_lp(col_masks: list[int], n_rows: int, demands: Sequence[int],
     columns at their integer upper bounds, which cover d - v, hence
     d - floor(v)."""
     k = len(col_masks)
-    rows = [[(mask >> i) & 1 for mask in col_masks] for i in range(n_rows)]
     rhs = list(demands)
+    rows = [[(mask >> i) & 1 for mask in col_masks] for i in range(len(rhs))]
     if bounds:
         for j, (lo, hi) in sorted(bounds.items()):
             if lo > 0:
@@ -203,7 +203,7 @@ def solve_lp(instance: Instance) -> LpSolution:
     masks = enumerate_maximal_matching_masks(
         build_conflict_graph(instance.network))
     matchings = tuple(mask_to_links(instance.network, m) for m in masks)
-    obj, x = _covering_lp(masks, len(instance.network.links), instance.demands)
+    obj, x = _covering_lp(masks, instance.demands)
     return LpSolution(obj, tuple(x), matchings)
 
 
@@ -229,19 +229,18 @@ def solve_ilp(instance: Instance) -> IlpSolution:
     demands = instance.demands
     adj = cg.masks
     mask_index = {m: j for j, m in enumerate(masks)}
-    best_total = None
-    best_alloc = None
-    for mode in (heuristics.HWF, heuristics.MDF, heuristics.HWF_TIE_MDF):
-        rounds = heuristics.greedy_rounds(demands, adj, mode)
-        total = sum(slots for _, slots in rounds)
-        if best_total is None or total < best_total:
-            best_total = total
-            best_alloc = [0] * k
-            for ext, slots in rounds:  # extend to a maximal matching
-                for v in range(n):
-                    if not (ext >> v) & 1 and adj[v] & ext == 0:
-                        ext |= 1 << v
-                best_alloc[mask_index[ext]] += slots
+    # min keeps the first of equal totals: HWF, then MDF, then the hybrid
+    rounds = min((heuristics.greedy_rounds(demands, adj, mode)
+                  for mode in (heuristics.HWF, heuristics.MDF,
+                               heuristics.HWF_TIE_MDF)),
+                 key=lambda r: sum(slots for _, slots in r))
+    best_total = sum(slots for _, slots in rounds)
+    best_alloc = [0] * k
+    for ext, slots in rounds:  # extend to a maximal matching
+        for v in range(n):
+            if adj[v] & ext == 0:  # members pass too: no self bits
+                ext |= 1 << v
+        best_alloc[mask_index[ext]] += slots
 
     root_lp = _ZERO
     # depth-first stack of (per-column (lo, hi) bound map, ceil of the
@@ -253,24 +252,24 @@ def solve_ilp(instance: Instance) -> IlpSolution:
         if lb >= best_total:  # a child's LP is never below its parent's
             continue
         # never None: every node's program is feasible (see _covering_lp)
-        obj, x = _covering_lp(masks, n, demands, bounds)
+        obj, x = _covering_lp(masks, demands, bounds)
         if not bounds:
             root_lp = obj
         lb = math.ceil(obj)
         if lb >= best_total:
             continue
-        frac = [(j, v) for j, v in enumerate(x) if v.denominator != 1]
+        frac = [j for j, v in enumerate(x) if v.denominator != 1]
         if not frac:
             best_total = int(sum(x))
             best_alloc = [int(v) for v in x]
             continue
-        j, v = max(frac, key=lambda p: (p[1], -p[0]))
+        j = max(frac, key=x.__getitem__)  # the first maximum: lowest index
         lo, hi = bounds.get(j, (0, None))
         down = dict(bounds)
-        down[j] = (lo, math.floor(v))
+        down[j] = (lo, math.floor(x[j]))
         stack.append((down, lb))
         up = dict(bounds)
-        up[j] = (math.ceil(v), hi)
+        up[j] = (math.ceil(x[j]), hi)
         stack.append((up, lb))
 
     schedule = heuristics._schedule(
@@ -296,6 +295,6 @@ def solve_mis_suboptimal(instance: Instance,
     cover the per-node demands with maximal independent node sets."""
     net = instance.network
     masks = enumerate_mis_node_masks(net, cap)
-    obj, x = _covering_lp(masks, net.node_count, reduce_node_demands(instance))
+    obj, x = _covering_lp(masks, reduce_node_demands(instance))
     node_sets = tuple(frozenset(b + 1 for b in _mask_bits(m)) for m in masks)
     return MisSolution(obj, tuple(x), node_sets)

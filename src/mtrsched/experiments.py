@@ -140,7 +140,7 @@ class ExperimentReport:
         writer.writerow(header)
         for r in self.records:
             writer.writerow(
-                [r.trial, r.seed, r.n_links, float(r.lp), r.ilp]
+                [r.trial, r.seed, r.n_links, _csv_number(r.lp), r.ilp]
                 + [r.totals[a] for a in algs]
                 + [f"{float(r.penalties[a]):.6f}" for a in algs]
                 + [f"{r.runtimes[a]:.9f}" for a in algs]
@@ -158,6 +158,14 @@ class ExperimentReport:
                          f"{float(s.mean_penalty):>8.2f}% "
                          f"{s.mean_runtime:>12.6f}s")
         return "\n".join(lines)
+
+
+def _csv_number(x: Fraction) -> float | str:
+    """x as a float, or exactly as its str beyond float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return str(x)
 
 
 def _trial_seed(master_seed: int, trial: int, attempt: int) -> int:
@@ -184,12 +192,11 @@ def _check_config(config: ExperimentConfig) -> None:
             raise _ConfigError("edge_prob must be positive: every trial would be empty")
         max_links = config.nodes * (config.nodes - 1)
     else:
-        nodes = (config.rows * config.cols if config.topology == "grid"
-                 else config.nodes)
-        # connected, so >= 2(nodes - 1) links: refuse before the build, but
-        # a grid only once rows, cols >= 1, so its domain error comes first
-        if 2 * (nodes - 1) > DEFAULT_LINK_CAP and (
-                config.topology != "grid" or min(config.rows, config.cols) >= 1):
+        # connected, so >= 2(nodes - 1) links: refuse before the build; a
+        # grid with a side < 1 counts no nodes, so its domain error comes first
+        nodes = (max(config.rows, 0) * max(config.cols, 0)
+                 if config.topology == "grid" else config.nodes)
+        if 2 * (nodes - 1) > DEFAULT_LINK_CAP:
             raise SizeLimitError(
                 f"configuration produces at least {2 * (nodes - 1)} links, "
                 f"beyond the exact solver cap of {DEFAULT_LINK_CAP}")

@@ -1,10 +1,10 @@
 """Greedy schedulers.
 
-All three follow the same loop: re-sort the list of links that still have
-demand, scan it building a matching greedily, give that matching as many
-slots as its most starved member needs, subtract, repeat.  The list
-persists across rounds and the sort is stable, so links tied under the
-sort key stay in their previous relative order.  The keys:
+``hwf``, ``mdf`` and ``hwf_tiebreak_mdf`` each return a schedule whose
+every entry is a matching maximal among the links that still have demand,
+that covers every link exactly as much as it demands, and that has no
+more entries than links.  They differ only in the order in which each
+round offers the links to its matching:
 
 * ``hwf``  - heaviest residual demand first,
 * ``mdf``  - highest degree in the residual conflict graph first; the
@@ -13,12 +13,7 @@ sort key stay in their previous relative order.  The keys:
 * ``hwf_tiebreak_mdf`` - heaviest residual first, demand ties broken by
   residual degree.
 
-A link's residual degree is read at each sort as the popcount of its
-conflict mask against one live bitmask of the links that still have demand.
-
-Each round's matching is maximal with respect to the still-active links,
-every link is covered exactly as much as it demands, and each round
-exhausts at least one link, so the loop runs at most N times.
+``greedy_rounds`` holds the loop all three share.
 """
 
 from __future__ import annotations
@@ -39,23 +34,22 @@ HWF_TIE_MDF = 2
 def greedy_rounds(demands: Sequence[int], adj: Sequence[int],
                   mode: int) -> list[tuple[int, int]]:
     """Greedy maximal-matching rounds over links with positive residual
-    demand.
+    demand.  Returns [(member_bitmask, slots), ...].
 
     One persistent list holds the active links, initially in ascending
-    index order.  Each round stable-sorts it by the mode's key (HWF:
-    residual descending; MDF: residual-graph degree descending; hybrid:
-    residual descending, then degree descending), so key ties keep their
-    relative order from the previous round.  The sorted list is scanned
-    once, adding every conflict-free link; the matching then gets the
-    minimum residual among its members, which is subtracted, and
-    exhausted links leave the list in place.
-    Returns [(member_bitmask, slots), ...].
+    index order.  Each round stable-sorts it by the mode's key, so key
+    ties keep their relative order from the previous round.  A mode is a
+    tuple of stable descending sorts applied in order (HWF: residual;
+    MDF: degree; hybrid: degree, then residual); ``reverse=True`` keeps
+    ties in order, as a negated key would.  The degree key is the
+    popcount of a link's conflict mask against ``amask``, the live mask
+    of active links, from which each exhausted link is XORed out.
 
-    A mode is a tuple of stable descending sorts applied in order (HWF:
-    residual; MDF: degree; hybrid: degree, then residual); ``reverse=True``
-    keeps ties in order, as a negated key would.  The degree key is the
-    popcount of a link's conflict mask against ``amask``, the live mask of
-    active links, from which each exhausted link is XORed out.
+    The sorted list is scanned once, adding every conflict-free link; the
+    matching then gets the minimum residual among its members, which is
+    subtracted, and exhausted links leave the list in place.  Each round
+    exhausts at least one link, so there are at most N rounds.
+
     Around it, a greedy solve builds the conflict graph and decodes the
     rounds, and callers usually validate and serialise the schedule; that
     work outweighs the rounds themselves (perfbench/ measures the shares).

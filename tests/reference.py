@@ -1,7 +1,7 @@
 """Straightforward reference implementations that the fast paths of the
 package must match exactly: the pairwise conflict-mask build, maximal
 independent sets by filtering all vertex subsets, the directed cuts that
-the maximal matchings must equal, the greedy kernel with
+the maximal matchings must equal, the reference greedy with
 explicit sort keys and per-round degree recomputation, schedule
 validation by pairwise conflict scan and per-link coverage sums,
 the Fraction two-phase simplex as it was before its rewrite into one
@@ -143,7 +143,7 @@ def greedy_rounds(demands, adj, mode):
 
 
 def greedy(instance, mode):
-    """A greedy schedule built from the reference masks and kernel."""
+    """A greedy schedule built from the reference masks and rounds."""
     links = instance.network.links
     if not links or not any(instance.demands):
         return Schedule()
@@ -388,7 +388,7 @@ def solve_ilp_unpruned(instance):
     while stack:
         bounds = stack.pop()
         # never None: every node's program is feasible (see _covering_lp)
-        obj, x = exact._covering_lp(masks, n, demands, bounds)
+        obj, x = exact._covering_lp(masks, demands, bounds)
         if not bounds:
             root_lp = obj
         if math.ceil(obj) >= best_total:

@@ -181,6 +181,23 @@ class TestSolve:
         assert err == ("note: fractional relaxation 5/2 (2.5000) is below "
                        "the integer optimum 3\n")
 
+    @pytest.mark.parametrize("alg", ["lp", "mis2p", "exact"])
+    def test_values_beyond_float_range_print_exactly(self, capsys, tmp_path,
+                                                     alg):
+        # ring 5, every demand 10**400 + 1: the LP and mis2p optima 5d/2
+        # have no float, so they print as exact fractions alone
+        d = 10**400 + 1
+        path = tmp_path / "ring5.json"
+        path.write_text(save_instance(Instance(gen_ring(5), (d,) * 10)))
+        code, stdout, err = run(capsys, "solve", "--alg", alg, str(path))
+        assert code == 0
+        if alg == "exact":
+            assert stdout == f"{(5 * d + 1) // 2}\n"
+            assert err == (f"note: fractional relaxation {5 * d}/2 is below "
+                           f"the integer optimum {(5 * d + 1) // 2}\n")
+        else:
+            assert (stdout, err) == (f"{5 * d}/2\n", "")
+
     def test_bipartite_on_triangle_is_capability_error(self, capsys, tmp_path):
         doc = {"nodes": 3, "edges": [[1, 2], [1, 3], [2, 3]],
                "demands": [{"tx": 1, "rx": 2, "d": 1}, {"tx": 1, "rx": 3, "d": 1},

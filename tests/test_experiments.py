@@ -180,6 +180,15 @@ class TestReports:
         assert int(first[0]) == 0
         assert int(first[2]) > 0
 
+    def test_csv_lp_beyond_float_range_is_exact(self):
+        # demands near 10**400: every root LP lies beyond float range, so
+        # the lp column holds its exact str, not a float
+        rep = run_experiment(ExperimentConfig(
+            trials=2, master_seed=1, demand_lo=10**400,
+            demand_hi=10**400 + 9))
+        rows = list(csv.reader(io.StringIO(rep.to_csv())))
+        assert [row[3] for row in rows[1:]] == [str(r.lp) for r in rep.records]
+
     def test_json_schema(self):
         rep = run_experiment(small(trials=5))
         doc = json.loads(rep.to_json())

@@ -131,7 +131,7 @@ class TestProperties:
             assert all(b > a for a, b in zip(totals, totals[1:]))
 
     @pytest.mark.parametrize("alg", ALL)
-    def test_beyond_compiled_mask_width(self, alg):
+    def test_masks_wider_than_64_bits(self, alg):
         # 10-node complete network: 90 links, masks wider than 64 bits
         from mtrsched.model import gen_demands
         net = gen_complete(10)
