@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--rows", type=int, default=_CAMPAIGN.rows)
     exp.add_argument("--cols", type=int, default=_CAMPAIGN.cols)
     exp.add_argument("--p", type=float, default=_CAMPAIGN.edge_prob)
-    exp.add_argument("--demand", help="uniform:LO:HI",
+    exp.add_argument("--demand",
+                     help="uniform:LO:HI, or fixed:V, read as V..V",
                      default=f"uniform:{_CAMPAIGN.demand_lo}:{_CAMPAIGN.demand_hi}")
     sym = exp.add_mutually_exclusive_group(required=True)
     sym.add_argument("--symmetric", action="store_true")

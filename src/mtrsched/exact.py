@@ -4,8 +4,9 @@ branch-and-bound on top of it, and the all-outgoing-links relaxation.
 Everything here is exact: the LP data are ints, the simplex divides
 only through fractions.Fraction, and every LP result is a Fraction;
 there are no floating-point tolerances anywhere.  Exactness is not cheap:
-the rational simplex takes nearly all of an exact solve's time, far more
-than enumeration or the greedy seeding (perfbench/ measures the shares).
+in a solve that runs the LP, the rational simplex takes nearly all of the
+time, far more than enumeration or the greedy seeding (perfbench/
+measures the shares).
 
 The solvers stay on bitmasks from enumeration to witness and decode
 links or nodes only for the solution they return.
@@ -23,6 +24,7 @@ from . import heuristics
 from .conflict import (DEFAULT_NODE_CAP, _mask_bits, build_conflict_graph,
                        enumerate_maximal_matching_masks,
                        enumerate_mis_node_masks, mask_to_links)
+from .metrics import _node_bound
 from .model import Instance, Link
 from .schedule import Schedule
 
@@ -217,8 +219,11 @@ def solve_ilp(instance: Instance) -> IlpSolution:
     ties), exploring the rounded-up branch first.  A popped node whose
     parent's LP bound already reaches the incumbent is dropped before its
     LP is solved: a child only adds a bound row, so its LP can be no lower
-    and solving it could only end in the same prune.  The search is fully
-    deterministic, so repeated runs return the identical witness.
+    and solving it could only end in the same prune.  The root inherits
+    the node bound of ``metrics.lower_bounds``, which no fractional
+    allocation undercuts, so when the best greedy already meets it the
+    root is dropped unsolved and its LP value is that bound.  The search
+    is fully deterministic, so repeated runs return the identical witness.
     """
     net = instance.network
     cg = build_conflict_graph(net)
@@ -242,11 +247,14 @@ def solve_ilp(instance: Instance) -> IlpSolution:
                 ext |= 1 << v
         best_alloc[mask_index[ext]] += slots
 
-    root_lp = _ZERO
+    node_bound = _node_bound(net, demands)
+    root_lp = Fraction(node_bound)
     # depth-first stack of (per-column (lo, hi) bound map, ceil of the
-    # parent's LP objective); the entry pushed last is explored first, so
-    # push the floor branch before the ceil one
-    stack: list[tuple[dict[int, tuple[int, int | None]], int]] = [({}, 0)]
+    # parent's LP objective, or the node bound at the root); the entry
+    # pushed last is explored first, so push the floor branch before the
+    # ceil one
+    stack: list[tuple[dict[int, tuple[int, int | None]], int]] = [
+        ({}, node_bound)]
     while stack:
         bounds, lb = stack.pop()
         if lb >= best_total:  # a child's LP is never below its parent's

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .model import Instance, Link
+from .model import Instance, Link, Network
 from .schedule import Schedule
 
 __all__ = ["UndefinedPenaltyError", "cost_penalty", "lower_bounds",
@@ -27,6 +28,17 @@ def cost_penalty(total: int, optimum: int) -> Fraction:
     return Fraction(total - optimum, optimum) * 100
 
 
+def _node_bound(network: Network, demands: Sequence[int]) -> int:
+    """The largest incoming plus largest outgoing demand of any node."""
+    # keyed by the nodes that have links, whatever their labels
+    max_in = dict.fromkeys(network._neighbors, 0)
+    max_out = max_in.copy()
+    for (tx, rx), d in zip(network.links, demands):
+        max_out[tx] = max(max_out[tx], d)
+        max_in[rx] = max(max_in[rx], d)
+    return max([max_in[v] + max_out[v] for v in max_in], default=0)
+
+
 def lower_bounds(instance: Instance) -> tuple[int, int]:
     """Two cheap lower bounds on any feasible frame length.
 
@@ -34,21 +46,17 @@ def lower_bounds(instance: Instance) -> tuple[int, int]:
     f_ij + f_ji slots.  Node bound: a node cannot transmit and receive in
     the same slot, so it needs its largest incoming plus largest outgoing
     demand.  (The node bound dominates the edge bound; both are reported
-    for cross-checking.)
+    for cross-checking.)  Both are also at most the root LP (the
+    fractional relaxation of ``exact.solve_lp``): no matching holds both
+    links that a bound adds up, so every fractional allocation covering
+    them spends at least their sum.
     """
     net = instance.network
     edge_bound = 0
     for a, b in net.edges:
         pair = instance.demand_of((a, b)) + instance.demand_of((b, a))
         edge_bound = max(edge_bound, pair)
-    # keyed by the nodes that have links, whatever their labels
-    max_in = dict.fromkeys(net._neighbors, 0)
-    max_out = max_in.copy()
-    for (tx, rx), d in zip(net.links, instance.demands):
-        max_out[tx] = max(max_out[tx], d)
-        max_in[rx] = max(max_in[rx], d)
-    node_bound = max([max_in[v] + max_out[v] for v in max_in], default=0)
-    return edge_bound, node_bound
+    return edge_bound, _node_bound(net, instance.demands)
 
 
 @dataclass(frozen=True)

@@ -432,9 +432,15 @@ class TestSolveIlp:
         assert sol.objective == 3
         assert validate_schedule(four_node_instance, sol.schedule) == []
 
-    def test_grid_asymmetric(self):
+    def test_grid_asymmetric(self, lp_solves):
+        # node bound 18, and MDF takes 18: the root needs no LP
         f = (7, 8, 8, 4, 7, 2, 8, 1, 3, 1, 1, 9, 7, 4, 10, 1, 5, 4, 8, 8, 2, 5, 5, 7)
-        assert solve_ilp(Instance(gen_grid(3, 3), f)).objective == 18
+        inst = Instance(gen_grid(3, 3), f)
+        sol, solves = lp_solves(solve_ilp, inst)
+        assert sol.objective == 18
+        assert lower_bounds(inst)[1] == mdf(inst).total_slots == 18
+        assert solves == 0
+        assert sol.lp_objective == solve_lp(inst).objective
 
     def test_ring_asymmetric(self):
         f = (2, 5, 10, 3, 4, 6, 7, 8, 9, 11, 4, 12)
@@ -444,7 +450,8 @@ class TestSolveIlp:
         sol = solve_ilp(Instance(four_node, (0,) * 8))
         assert sol.objective == 0
         assert sol.schedule.entries == ()
-        # the greedy total 0 prunes the root before its LP is solved
+        # the node bound 0 already meets the greedy total 0, so the root
+        # is pruned before its LP is solved
         assert sol.lp_objective == 0 and type(sol.lp_objective) is Fraction
 
     def test_witness_consistent(self):
@@ -584,6 +591,40 @@ class TestSolveIlp:
             assert solves <= ref_solves
             fewer += solves < ref_solves
         assert fewer > 0
+
+    def test_node_bound_skips_root_lp_on_cap_edge_line(self, lp_solves):
+        # 16-node line, 30 links, at the cap: every greedy takes 2 slots,
+        # which is already the node bound
+        net = gen_linear(16)
+        sol, solves = lp_solves(solve_ilp, Instance(net, (1,) * len(net.links)))
+        assert len(net.links) == 30 and solves == 0
+        assert (sol.lp_objective, sol.objective) == (2, 2)
+        assert type(sol.lp_objective) is Fraction
+
+    def test_node_bound_below_greedy_keeps_root_lp(self, lp_solves):
+        # unit-demand K4: node bound 2, every greedy 4, root LP 3
+        inst = Instance(gen_complete(4), (1,) * 12)
+        sol, solves = lp_solves(solve_ilp, inst)
+        assert lower_bounds(inst)[1] == 2
+        assert solves == 3
+        assert (sol.lp_objective, sol.objective) == (3, 4)
+
+    def test_root_lp_skipped_iff_greedy_meets_node_bound(self, lp_solves):
+        rng = random.Random(19)
+        skipped = solved = edge_below = 0
+        for _ in range(80):
+            inst = random_instance(rng, max_nodes=5, allow_zero=True)
+            edge_b, node_b = lower_bounds(inst)
+            greedy = min(alg(inst).total_slots
+                         for alg in (hwf, mdf, hwf_tiebreak_mdf))
+            sol, solves = lp_solves(solve_ilp, inst)
+            assert (solves == 0) == (node_b == greedy)
+            assert sol.lp_objective == solve_lp(inst).objective
+            skipped += solves == 0
+            solved += solves > 0
+            # a root skipped here that the edge bound alone would not skip
+            edge_below += solves == 0 and edge_b < node_b
+        assert skipped and solved and edge_below
 
     def test_one_conflict_graph_and_no_public_greedy(self, monkeypatch):
         builds = []
