@@ -4,8 +4,9 @@ In a bipartite topology one whole side can transmit while the other
 receives, so every link in one direction fits in a single matching.  Two
 entries therefore cover everything: all side-A-to-side-B links for as
 long as the heaviest such demand, then the reverse direction likewise.
-The result is always feasible; it is an upper bound on the optimum, and
-tight whenever one edge carries the maximum demand of both directions.
+The result is always feasible but not always optimal: the optimum of a
+bipartite instance is its node bound (``metrics.lower_bounds``), which
+two-phase exceeded on 47 of 876 measured instances.
 """
 
 from __future__ import annotations

@@ -89,29 +89,25 @@ def _to_mask(cg: ConflictGraph, links: Iterable[Link]) -> int:
     return mask
 
 
-def _mask_bits(mask: int) -> tuple[int, ...]:
-    """The set bits of a mask in ascending order.  The conflict and exact
-    layers decode link and node masks through it; schedules are decoded
-    by ``heuristics._schedule``, which inlines the loop because a call per
-    round costs greedy throughput."""
-    bits = []
+def _members(mask: int, items: Sequence) -> list:
+    """``items[b]`` for each set bit b of the mask, in ascending order."""
+    out = []
     while mask:
         b = mask & -mask
         mask ^= b
-        bits.append(b.bit_length() - 1)
-    return tuple(bits)
+        out.append(items[b.bit_length() - 1])
+    return out
 
 
 def mask_to_links(network: Network, mask: int) -> frozenset[Link]:
     """Decode a link-index bitmask into the links it names."""
-    links = network.links
-    return frozenset(links[b] for b in _mask_bits(mask))
+    return frozenset(_members(mask, network.links))
 
 
 def is_matching(cg: ConflictGraph, links: Iterable[Link]) -> bool:
     """True iff the links are pairwise conflict-free."""
     mask = _to_mask(cg, links)
-    return all(cg.masks[b] & mask == 0 for b in _mask_bits(mask))
+    return all(m & mask == 0 for m in _members(mask, cg.masks))
 
 
 def is_maximal(cg: ConflictGraph, matching: Iterable[Link],
@@ -123,7 +119,7 @@ def is_maximal(cg: ConflictGraph, matching: Iterable[Link],
         emask = (1 << cg.n_links) - 1
     else:
         emask = _to_mask(cg, eligible)
-    return all(cg.masks[b] & mmask for b in _mask_bits(emask & ~mmask))
+    return all(m & mmask for m in _members(emask & ~mmask, cg.masks))
 
 
 def transpose(network: Network, matching: Iterable[Link]) -> frozenset[Link]:
@@ -168,7 +164,8 @@ def maximal_independent_sets(adj: Sequence[int]) -> list[int]:
             x |= b
 
     expand(0, (1 << len(adj)) - 1, 0)
-    out.sort(key=_mask_bits)
+    bits = list(range(len(adj)))
+    out.sort(key=lambda m: _members(m, bits))
     return out
 
 
@@ -212,7 +209,8 @@ def enumerate_mis_node_masks(network: Network,
 def enumerate_mis_nodes(network: Network) -> list[frozenset[int]]:
     """All maximal independent sets of the undirected topology graph,
     sorted by their sorted node tuples."""
-    return [frozenset(b + 1 for b in _mask_bits(m))
+    nodes = range(1, network.node_count + 1)
+    return [frozenset(_members(m, nodes))
             for m in enumerate_mis_node_masks(network)]
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import heuristics
-from .conflict import (DEFAULT_NODE_CAP, _mask_bits, build_conflict_graph,
+from .conflict import (DEFAULT_NODE_CAP, _members, build_conflict_graph,
                        enumerate_maximal_matching_masks,
                        enumerate_mis_node_masks, mask_to_links)
 from .metrics import _node_bound
@@ -304,5 +304,6 @@ def solve_mis_suboptimal(instance: Instance,
     net = instance.network
     masks = enumerate_mis_node_masks(net, cap)
     obj, x = _covering_lp(masks, reduce_node_demands(instance))
-    node_sets = tuple(frozenset(b + 1 for b in _mask_bits(m)) for m in masks)
+    nodes = range(1, net.node_count + 1)
+    node_sets = tuple(frozenset(_members(m, nodes)) for m in masks)
     return MisSolution(obj, tuple(x), node_sets)

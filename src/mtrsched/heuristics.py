@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .conflict import build_conflict_graph
+from .conflict import _members, build_conflict_graph
 from .model import Instance, Link
 from .schedule import Schedule, ScheduleEntry
 
@@ -89,15 +89,8 @@ def greedy_rounds(demands: Sequence[int], adj: Sequence[int],
 def _schedule(all_links: Sequence[Link],
               rounds: list[tuple[int, int]]) -> Schedule:
     """Decode (link bitmask, slots) rounds; ascending bits give sorted tuples."""
-    entries = []
-    for mask, slots in rounds:
-        links = []
-        while mask:
-            b = mask & -mask
-            mask ^= b
-            links.append(all_links[b.bit_length() - 1])
-        entries.append(ScheduleEntry(tuple(links), slots))
-    return Schedule(tuple(entries))
+    return Schedule(tuple(ScheduleEntry(tuple(_members(mask, all_links)), slots)
+                          for mask, slots in rounds))
 
 
 def _greedy(instance: Instance, mode: int) -> Schedule:

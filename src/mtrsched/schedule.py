@@ -58,7 +58,7 @@ def schedule_from_json(text: str | bytes) -> Schedule:
         raise ScheduleFormatError("schedule document must be an object with "
                                   "an 'entries' list")
     entries = []
-    for rec in doc["entries"]:
+    for i, rec in enumerate(doc["entries"]):
         if type(rec) is not dict or "links" not in rec or "slots" not in rec:
             raise ScheduleFormatError(f"entry must have 'links' and 'slots': {rec!r}")
         slots = rec["slots"]
@@ -73,7 +73,11 @@ def schedule_from_json(text: str | bytes) -> Schedule:
                     or type(pair[0]) is not int or type(pair[1]) is not int):
                 raise ScheduleFormatError(f"links must be [tx, rx] pairs, got {pair!r}")
             links.append((pair[0], pair[1]))
-        entries.append(ScheduleEntry(tuple(sorted(links)), slots))
+        links.sort()  # a link named twice lands next to its twin
+        for a, b in zip(links, links[1:]):
+            if a == b:
+                raise ScheduleFormatError(f"entry {i} lists link {a} twice")
+        entries.append(ScheduleEntry(tuple(links), slots))
     sched = Schedule(tuple(entries))
     if "total" in doc:
         total = doc["total"]

@@ -6,8 +6,8 @@ explicit sort keys and per-round degree recomputation, schedule
 validation by pairwise conflict scan and per-link coverage sums,
 the Fraction two-phase simplex as it was before its rewrite into one
 augmented tableau, the branch-and-bound loop as it was before it
-dropped nodes on their parent's bound, and the closed-form optimum of
-unit demands.
+dropped nodes on their parent's bound, the closed-form optimum of
+unit demands, and the split-point optimum of bipartite topologies.
 
 The reference simplex keeps the right-hand side apart from its tableau
 and prices each phase's costs afresh, while the package carries both in
@@ -20,6 +20,7 @@ from fractions import Fraction
 from itertools import count
 
 from mtrsched import exact, heuristics
+from mtrsched.bipartite import bipartition
 from mtrsched.conflict import (build_conflict_graph,
                                enumerate_maximal_matching_masks, mask_to_links)
 from mtrsched.heuristics import HWF, MDF
@@ -107,6 +108,42 @@ def sperner_optimum(network):
     every link."""
     chi = chromatic_number(network)
     return next(k for k in count() if math.comb(k, k // 2) >= chi)
+
+
+def bipartite_optimum(instance):
+    """An optimal schedule of a bipartite instance, of total L, the
+    largest incoming plus largest outgoing demand of any node (the
+    constructive argument of Konig's 1916 edge-colouring theorem).
+
+    With out(w) and in(w) node w's largest outgoing and incoming demand,
+    each u on side A transmits during [0, out(u)) and receives during
+    [out(u), L); each v on side B receives during [0, in(v)) and transmits
+    during [in(v), L).  No node transmits and receives at once.  Link u->v
+    is active during [0, min(out(u), in(v))), at least d_uv long; link
+    v->u during [max(in(v), out(u)), L), at least d_vu long because
+    in(v) + d_vu <= in(v) + out(v) <= L and out(u) + d_vu <= out(u) +
+    in(u) <= L.  One entry per interval between consecutive cut points."""
+    links, demands = instance.network.links, instance.demands
+    side_a = bipartition(instance.network).side_a
+    out, inc = {}, {}
+    for (tx, rx), d in zip(links, demands):
+        out[tx] = max(out.get(tx, 0), d)
+        inc[rx] = max(inc.get(rx, 0), d)
+    total = max((out[v] + inc[v] for v in out), default=0)
+    switch = {v: out[v] if v in side_a else inc[v] for v in out}
+
+    def transmits(v, t):
+        return (t < switch[v]) == (v in side_a)
+
+    cuts = sorted({0, total, *switch.values()})
+    entries = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        active = tuple(link for link, d in zip(links, demands)
+                       if d > 0 and transmits(link[0], lo)
+                       and not transmits(link[1], lo))
+        if active:
+            entries.append(ScheduleEntry(active, hi - lo))
+    return Schedule(tuple(entries))
 
 
 def greedy_rounds(demands, adj, mode):

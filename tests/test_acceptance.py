@@ -30,10 +30,11 @@ from mtrsched.experiments import (ExperimentConfig, run_demand_range_sweep,
                                   run_experiment)
 from mtrsched.heuristics import hwf, hwf_tiebreak_mdf, mdf
 from mtrsched.metrics import lower_bounds, validate_schedule
-from mtrsched.model import Instance, gen_complete, gen_grid, gen_linear, gen_ring
+from mtrsched.model import (Instance, gen_complete, gen_demands, gen_grid,
+                            gen_linear, gen_ring)
 
 from helpers import all_networks, random_instance
-from reference import sperner_optimum
+from reference import bipartite_optimum, sperner_optimum
 from test_exact import exhaustive_min_slots
 
 MASTER_SEED = 42
@@ -142,6 +143,20 @@ class TestFixtureExactness:
             totals = "/".join(str(alg(inst).total_slots) for alg in ALGS.values())
             rows.append(f"K{n} greedy {totals} opt {sperner_optimum(inst.network)}")
         ok("unit-demand complete graphs", "; ".join(rows))
+
+    def test_bipartite_greedy_vs_optimum(self):
+        # records greedy against the split-point optimum above the link
+        # cap, where no exact solve runs, and gates nothing on the greedies
+        rows = []
+        for name, net in (("8x8 grid", gen_grid(8, 8)), ("ring 40", gen_ring(40))):
+            inst = Instance(net, gen_demands(net, 1, 10, False, 3))
+            opt = bipartite_optimum(inst)
+            assert validate_schedule(inst, opt) == []
+            assert opt.total_slots == lower_bounds(inst)[1]
+            totals = "/".join(str(alg(inst).total_slots) for alg in ALGS.values())
+            rows.append(f"{name} ({len(net.links)} links) greedy {totals} "
+                        f"opt {opt.total_slots}")
+        ok("bipartite greedy vs optimum", "; ".join(rows))
 
 
 # --------------------------------------------------------------------------

@@ -4,10 +4,13 @@ import pytest
 
 from mtrsched.bipartite import (Bipartition, NotBipartite, bipartition,
                                 two_phase_schedule)
+from mtrsched.conflict import DEFAULT_LINK_CAP
 from mtrsched.exact import solve_ilp
-from mtrsched.metrics import validate_schedule
-from mtrsched.model import (Instance, Network, gen_complete, gen_grid,
-                            gen_linear, gen_ring)
+from mtrsched.metrics import lower_bounds, validate_schedule
+from mtrsched.model import (Instance, Network, gen_complete, gen_demands,
+                            gen_grid, gen_linear, gen_ring)
+
+from reference import bipartite_optimum
 
 
 class TestBipartition:
@@ -137,3 +140,39 @@ class TestTwoPhase:
         outside = Bipartition(frozenset({1, 5, 6, 7}), frozenset({2, 3, 4, 8}))
         with pytest.raises(ValueError, match="node 8 outside network"):
             two_phase_schedule(seven_tree_instance, outside)
+
+
+def bipartite_networks(rng, count):
+    """The fixed bipartite topologies under the link cap, then ``count``
+    random bipartite graphs on at most 9 nodes, also under the cap."""
+    yield from (gen_grid(3, 3), gen_grid(2, 4), gen_linear(8), gen_linear(16),
+                gen_ring(6), gen_ring(8), gen_ring(14))
+    while count:
+        n = rng.randint(2, 9)
+        side = [rng.random() < 0.5 for _ in range(n)]
+        edges = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                 if side[a - 1] != side[b - 1] and rng.random() < 0.5]
+        if 0 < 2 * len(edges) <= DEFAULT_LINK_CAP:
+            count -= 1
+            yield Network(n, edges)
+
+
+class TestBipartiteOptimum:
+    """On a bipartite topology the optimum equals the node bound, and
+    ``reference.bipartite_optimum`` builds a schedule that meets it."""
+
+    def test_split_point_schedule_meets_node_bound_and_optimum(self):
+        rng = random.Random(41)
+        checked = 0
+        for net in bipartite_networks(rng, 12):
+            for lo, hi in ((1, 1), (1, 10), (1, 50)):
+                for symmetric in (True, False):
+                    inst = Instance(net, gen_demands(
+                        net, lo, hi, symmetric, rng.randrange(1 << 30)))
+                    sched = bipartite_optimum(inst)
+                    assert validate_schedule(inst, sched) == []
+                    total = sched.total_slots
+                    assert total == lower_bounds(inst)[1]
+                    assert total == solve_ilp(inst).objective
+                    checked += 1
+        assert checked == 19 * 6

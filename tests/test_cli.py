@@ -360,6 +360,19 @@ class TestValidate:
         assert code == 1
         assert "error: not valid JSON" in stderr
 
+    def test_repeated_link_schedule_rejected(self, capsys, tmp_path):
+        # 1000 copies of both links in one entry: read as given, each of
+        # the 10^6 pairs of conflicting copies would print a violation
+        inst = tmp_path / "l2.json"
+        inst.write_text(save_instance(Instance(gen_linear(2), (1, 1))))
+        sched = tmp_path / "s.json"
+        sched.write_text(json.dumps(
+            {"entries": [{"links": [[1, 2], [2, 1]] * 1000, "slots": 1}]}))
+        code, stdout, stderr = run(capsys, "validate", str(inst), str(sched))
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: entry 0 lists link (1, 2) twice\n"
+
     def test_non_utf8_schedule_rejected(self, capsys, tmp_path):
         inst = tmp_path / "l2.json"
         inst.write_text(save_instance(Instance(gen_linear(2), (1, 1))))

@@ -38,6 +38,14 @@ def test_reader_sorts_links():
     assert sched.entries[0].links == ((1, 2), (3, 4))
 
 
+def test_repeated_link_rejected():
+    text = '{"entries": [{"links": [[3, 4]], "slots": 1},' \
+           ' {"links": [[1, 2], [3, 4], [1, 2]], "slots": 1}]}'
+    with pytest.raises(ScheduleFormatError,
+                       match=r"entry 1 lists link \(1, 2\) twice"):
+        schedule_from_json(text)
+
+
 def test_coverage_counts_all_entries():
     sched = Schedule((ScheduleEntry(((1, 2),), 2),
                       ScheduleEntry(((1, 2), (3, 4)), 3)))
@@ -64,6 +72,7 @@ def test_json_booleans_are_not_numbers(text, field):
     '{"entries": [{"links": [[1, 2]]}]}',
     '{"entries": [{"links": [[1, 2, 3]], "slots": 1}]}',
     '{"entries": [{"links": [[1, 2.0]], "slots": 1}]}',
+    '{"entries": [{"links": [[1, 2], [1, 2]], "slots": 1}]}',
     '[]',
     b"\xff{",
     pytest.param('{"entries": [], "total": ' + "1" * 5000 + "}",
