@@ -8,6 +8,13 @@ in a solve that runs the LP, the rational simplex takes nearly all of the
 time, far more than enumeration or the greedy seeding (perfbench/
 measures the shares).
 
+Where branch-and-bound's root would only be pruned, the full root LP is
+not solved: its value, the only part of it such a root uses, is priced
+by column generation on the dual of the greedy seed's columns (Gilmore
+& Gomory 1961; Dantzig & Wolfe 1960), and the full LP runs only when
+that value rounds up below the incumbent.  An LP's optimal value is
+unique, so no answer, allocation or witness changes.
+
 The solvers stay on bitmasks from enumeration to witness and decode
 links or nodes only for the solution they return.
 """
@@ -199,6 +206,42 @@ def _covering_lp(col_masks: list[int], demands: Sequence[int],
     return _simplex_min_ge([1] * k, rows, rhs)
 
 
+def _priced_root(masks: list[int], demands: Sequence[int],
+                 best_alloc: list[int], best_total: int) -> Fraction | None:
+    """The root LP's value when its rounded-up value reaches best_total,
+    else None, by column generation on the dual from the greedy seed's
+    columns.
+
+    The restricted dual, max d.y s.t. sum of y over each column's links
+    <= 1, y >= 0, has every rhs negative as a >= program, so it needs no
+    artificials.  It drops constraints of the full dual, so its value is
+    never below the LP's: once its ceiling falls below best_total the
+    full LP can only do the same.  Otherwise the most violated matching
+    (the first of equal sums) joins, until none is violated and the value
+    is the LP's own."""
+    n = len(demands)
+    cost = [-d for d in demands]
+
+    def row(mask: int) -> list[int]:
+        return [-(mask >> i & 1) for i in range(n)]
+
+    rows = [row(m) for m, u in zip(masks, best_alloc) if u]
+    while True:
+        # never None: y = 0 is feasible; bounded, as the seed covers d
+        neg, y = _simplex_min_ge(cost, rows, [-1] * len(rows))
+        if math.ceil(-neg) < best_total:
+            return None
+        # price in ints: y over its common denominator
+        den = math.lcm(*(v.denominator for v in y))
+        support = [(1 << i, v.numerator * (den // v.denominator))
+                   for i, v in enumerate(y) if v]
+        sums = [sum(w for bit, w in support if m & bit) for m in masks]
+        top = max(sums)
+        if top <= den:
+            return -neg
+        rows.append(row(masks[sums.index(top)]))
+
+
 def solve_lp(instance: Instance) -> LpSolution:
     """Exact fractional optimum of the covering program over all maximal
     matchings: the minimum airtime if slots were divisible."""
@@ -222,8 +265,14 @@ def solve_ilp(instance: Instance) -> IlpSolution:
     and solving it could only end in the same prune.  The root inherits
     the node bound of ``metrics.lower_bounds``, which no fractional
     allocation undercuts, so when the best greedy already meets it the
-    root is dropped unsolved and its LP value is that bound.  The search
-    is fully deterministic, so repeated runs return the identical witness.
+    root is dropped unsolved and its LP value is that bound.  Otherwise
+    _priced_root first prices the root LP's value from the seed's columns;
+    when that value rounded up reaches the incumbent, the root is dropped
+    with it.  A root dropped either way would have been pruned right after its
+    LP solve, which leaves the incumbent as it is, and the optimal value is
+    the same whichever method finds it, so the answer, allocation and
+    witness are those of solving the root.  The search is fully
+    deterministic, so repeated runs return the identical witness.
     """
     net = instance.network
     cg = build_conflict_graph(net)
@@ -255,6 +304,11 @@ def solve_ilp(instance: Instance) -> IlpSolution:
     # ceil one
     stack: list[tuple[dict[int, tuple[int, int | None]], int]] = [
         ({}, node_bound)]
+    if node_bound < best_total:
+        priced = _priced_root(masks, demands, best_alloc, best_total)
+        if priced is not None:  # the root LP could only end in a prune
+            root_lp = priced
+            stack = []
     while stack:
         bounds, lb = stack.pop()
         if lb >= best_total:  # a child's LP is never below its parent's

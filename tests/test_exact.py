@@ -89,6 +89,24 @@ def _degenerate_covering_family():
     return cases
 
 
+def _call_counter(monkeypatch, name):
+    """Patch exact.<name> to count its calls; run(solve, inst) returns
+    the solve's result and the calls it made."""
+    calls = []
+    real = getattr(exact, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    def run(solve, inst):
+        calls.clear()
+        return solve(inst), len(calls)
+
+    monkeypatch.setattr(exact, name, counting)
+    return run
+
+
 def _pivot_calls(simplex, cost, rows, rhs):
     """Run one simplex and record the (row, column) arguments of every
     call to its inner ``pivot``."""
@@ -541,19 +559,13 @@ class TestSolveIlp:
     def lp_solves(self, monkeypatch):
         """Run a solve and count its exact._covering_lp calls, which
         solve_ilp and the unpruned reference both go through."""
-        calls = []
-        real = exact._covering_lp
+        return _call_counter(monkeypatch, "_covering_lp")
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        def run(solve, inst):
-            calls.clear()
-            return solve(inst), len(calls)
-
-        monkeypatch.setattr(exact, "_covering_lp", counting)
-        return run
+    @pytest.fixture
+    def programs(self, monkeypatch):
+        """Run a solve and count its exact._simplex_min_ge calls: every
+        program, the root's restricted duals included."""
+        return _call_counter(monkeypatch, "_simplex_min_ge")
 
     def test_parent_bound_skips_lp_solves(self, lp_solves):
         # root 37/2: both children of the root inherit the bound 19, which
@@ -609,22 +621,40 @@ class TestSolveIlp:
         assert solves == 3
         assert (sol.lp_objective, sol.objective) == (3, 4)
 
-    def test_root_lp_skipped_iff_greedy_meets_node_bound(self, lp_solves):
+    def test_root_lp_skipped_iff_greedy_meets_node_bound(self, lp_solves,
+                                                         programs):
+        # no program at all iff the best greedy meets the node bound; no
+        # full root LP iff the rounded-up LP reaches the best greedy, so the
+        # root's restricted duals price it to a prune
         rng = random.Random(19)
-        skipped = solved = edge_below = 0
+        skipped = priced = solved = edge_below = 0
         for _ in range(80):
             inst = random_instance(rng, max_nodes=5, allow_zero=True)
             edge_b, node_b = lower_bounds(inst)
             greedy = min(alg(inst).total_slots
                          for alg in (hwf, mdf, hwf_tiebreak_mdf))
-            sol, solves = lp_solves(solve_ilp, inst)
-            assert (solves == 0) == (node_b == greedy)
-            assert sol.lp_objective == solve_lp(inst).objective
-            skipped += solves == 0
+            lp = solve_lp(inst).objective
+            (sol, solves), runs = programs(
+                lambda i: lp_solves(solve_ilp, i), inst)
+            assert (runs == 0) == (node_b == greedy)
+            assert (solves == 0) == (math.ceil(lp) >= greedy)
+            assert sol.lp_objective == lp
+            skipped += runs == 0
+            priced += runs > 0 and solves == 0
             solved += solves > 0
             # a root skipped here that the edge bound alone would not skip
-            edge_below += solves == 0 and edge_b < node_b
-        assert skipped and solved and edge_below
+            edge_below += runs == 0 and edge_b < node_b
+        assert skipped and priced and solved and edge_below
+
+    def test_priced_root_prunes_cap_edge_ring(self, lp_solves, programs):
+        # ring 15 with unit demands, 30 links at the cap: 1,366 columns,
+        # every greedy 3, LP 15/7; the seed's columns alone price above
+        # 15/7, so columns join before the root is priced to a prune
+        inst = Instance(gen_ring(15), (1,) * 30)
+        (sol, solves), runs = programs(lambda i: lp_solves(solve_ilp, i), inst)
+        assert solves == 0 and runs > 1
+        assert (sol.lp_objective, sol.objective) == (F(15, 7), 3)
+        assert type(sol.lp_objective) is Fraction
 
     def test_one_conflict_graph_and_no_public_greedy(self, monkeypatch):
         builds = []
