@@ -145,28 +145,38 @@ def maximal_independent_sets(adj: Sequence[int]) -> list[int]:
     branched on.  Any u in P | X is a valid pivot: a maximal set extending
     R that held neither u nor a neighbour of u could add u.  The branch
     order depends on the pivot, hence the final sort.
-    """
-    closed = [a | 1 << v for v, a in enumerate(adj)]
-    out: list[int] = []
 
-    def expand(r: int, p: int, x: int) -> None:
+    The sort needs no decoding.  Maximal sets form an antichain, so no
+    set's member tuple is a proper prefix of another's, and two tuples
+    first differ at the lowest vertex in which the sets differ; the tuple
+    holding it sorts first.  With vertex v as bit w-1-v of a reversed
+    mask (w = len(adj)), that vertex is the highest differing bit, so
+    ascending member tuples are descending reversed masks.  R carries its
+    reversed mask as a sort key through the recursion.
+    """
+    w = len(adj)
+    closed = [a | 1 << v for v, a in enumerate(adj)]
+    rev = [1 << (w - 1 - v) for v in range(w)]
+    out: list[tuple[int, int]] = []
+
+    def expand(key: int, r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
-            out.append(r)
+            out.append((key, r))
             return
         u = x & -x if x else p & -p
         cand = p & closed[u.bit_length() - 1]
         while cand:
             b = cand & -cand
             cand ^= b
-            keep = ~closed[b.bit_length() - 1]
-            expand(r | b, p & keep, x & keep)
+            v = b.bit_length() - 1
+            keep = ~closed[v]
+            expand(key | rev[v], r | b, p & keep, x & keep)
             p ^= b
             x |= b
 
-    expand(0, (1 << len(adj)) - 1, 0)
-    bits = list(range(len(adj)))
-    out.sort(key=lambda m: _members(m, bits))
-    return out
+    expand(0, 0, (1 << w) - 1, 0)
+    out.sort(reverse=True)  # keys are distinct: masks are never compared
+    return [r for _, r in out]
 
 
 def enumerate_maximal_matching_masks(cg: ConflictGraph) -> list[int]:

@@ -15,6 +15,12 @@ by column generation on the dual of the greedy seed's columns (Gilmore
 that value rounds up below the incumbent.  An LP's optimal value is
 unique, so no answer, allocation or witness changes.
 
+Seeding the incumbent stops at the first greedy whose total meets the
+node bound of ``metrics.lower_bounds``.  No schedule is shorter than
+that bound, so no later greedy could be a strict minimum, and the seed
+is the first of equal totals either way: it, the root skip and the
+witness are those of running all three.
+
 The solvers stay on bitmasks from enumeration to witness and decode
 links or nodes only for the solution they return.
 """
@@ -257,22 +263,26 @@ def solve_ilp(instance: Instance) -> IlpSolution:
     rational LP as bound.
 
     The best greedy rounds (HWF, MDF, hybrid; first on ties), run on the
-    solve's one conflict graph, seed the incumbent.  Branching fixes the
-    matching with the largest fractional allocation (lowest index on
-    ties), exploring the rounded-up branch first.  A popped node whose
-    parent's LP bound already reaches the incumbent is dropped before its
-    LP is solved: a child only adds a bound row, so its LP can be no lower
-    and solving it could only end in the same prune.  The root inherits
-    the node bound of ``metrics.lower_bounds``, which no fractional
-    allocation undercuts, so when the best greedy already meets it the
-    root is dropped unsolved and its LP value is that bound.  Otherwise
-    _priced_root first prices the root LP's value from the seed's columns;
-    when that value rounded up reaches the incumbent, the root is dropped
-    with it.  A root dropped either way would have been pruned right after its
-    LP solve, which leaves the incumbent as it is, and the optimal value is
-    the same whichever method finds it, so the answer, allocation and
-    witness are those of solving the root.  The search is fully
-    deterministic, so repeated runs return the identical witness.
+    solve's one conflict graph, seed the incumbent.  Seeding stops once
+    the best total meets the node bound of ``metrics.lower_bounds``: no
+    valid schedule is shorter, so a later greedy could only tie, and a tie
+    never replaces the first; the seed is that of all three.  Branching
+    fixes the matching with the largest fractional allocation (lowest
+    index on ties), exploring the rounded-up branch first.  A popped node
+    whose parent's LP bound already reaches the incumbent is dropped
+    before its LP is solved: a child only adds a bound row, so its LP can
+    be no lower and solving it could only end in the same prune.  The root
+    inherits the node bound of ``metrics.lower_bounds``, which no
+    fractional allocation undercuts, so when the best greedy already meets
+    it the root is dropped unsolved and its LP value is that bound.
+    Otherwise _priced_root first prices the root LP's value from the
+    seed's columns; when that value rounded up reaches the incumbent, the
+    root is dropped with it.  A root dropped either way would have been
+    pruned right after its LP solve, which leaves the incumbent as it is,
+    and the optimal value is the same whichever method finds it, so the
+    answer, allocation and witness are those of solving the root.  The
+    search is fully deterministic, so repeated runs return the identical
+    witness.
     """
     net = instance.network
     cg = build_conflict_graph(net)
@@ -283,12 +293,16 @@ def solve_ilp(instance: Instance) -> IlpSolution:
     demands = instance.demands
     adj = cg.masks
     mask_index = {m: j for j, m in enumerate(masks)}
-    # min keeps the first of equal totals: HWF, then MDF, then the hybrid
-    rounds = min((heuristics.greedy_rounds(demands, adj, mode)
-                  for mode in (heuristics.HWF, heuristics.MDF,
-                               heuristics.HWF_TIE_MDF)),
-                 key=lambda r: sum(slots for _, slots in r))
-    best_total = sum(slots for _, slots in rounds)
+    node_bound = _node_bound(net, demands)
+    # no schedule undercuts the node bound, so a later greedy could only tie
+    best_total = None
+    for mode in (heuristics.HWF, heuristics.MDF, heuristics.HWF_TIE_MDF):
+        r = heuristics.greedy_rounds(demands, adj, mode)
+        total = sum(slots for _, slots in r)
+        if best_total is None or total < best_total:
+            rounds, best_total = r, total
+            if total == node_bound:
+                break
     best_alloc = [0] * k
     for ext, slots in rounds:  # extend to a maximal matching
         for v in range(n):
@@ -296,7 +310,6 @@ def solve_ilp(instance: Instance) -> IlpSolution:
                 ext |= 1 << v
         best_alloc[mask_index[ext]] += slots
 
-    node_bound = _node_bound(net, demands)
     root_lp = Fraction(node_bound)
     # depth-first stack of (per-column (lo, hi) bound map, ceil of the
     # parent's LP objective, or the node bound at the root); the entry

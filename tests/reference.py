@@ -394,7 +394,9 @@ def _simplex_min_ge(cost, rows, rhs):
 def solve_ilp_unpruned(instance):
     """exact.solve_ilp as it was before pruning on the parent's bound:
     every popped node's LP is solved (through exact._covering_lp, so a
-    test can count the solves) before the incumbent bound is applied."""
+    test can count the solves) before the incumbent bound is applied.
+    It deliberately runs all three greedies, keeping the first strict
+    minimum, where the package stops at the first to meet the node bound."""
     net = instance.network
     cg = build_conflict_graph(net)
     masks = enumerate_maximal_matching_masks(cg)

@@ -10,7 +10,8 @@ from mtrsched.conflict import (SizeLimitError, build_conflict_graph,
                                enumerate_mis_nodes, induced_matchings,
                                is_matching, is_maximal,
                                maximal_independent_sets, transpose)
-from mtrsched.model import Network, gen_complete, gen_grid, gen_linear, gen_ring
+from mtrsched.model import (Network, _random_network, gen_complete, gen_grid,
+                            gen_linear, gen_ring)
 
 import reference
 from helpers import all_networks, random_graph
@@ -30,6 +31,15 @@ def canonical(masks):
     than by the package."""
     return sorted(masks, key=lambda m: [v for v in range(m.bit_length())
                                         if m >> v & 1])
+
+
+def node_adjacency(net):
+    """Adjacency bitmasks of the undirected topology, node v as bit v-1."""
+    adj = [0] * net.node_count
+    for a, b in net.edges:
+        adj[a - 1] |= 1 << (b - 1)
+        adj[b - 1] |= 1 << (a - 1)
+    return adj
 
 
 def semantic_conflict(a, b):
@@ -212,6 +222,23 @@ class TestEnumeration:
         assert len(found) == count
         assert found == sorted(maximal, key=sorted)
 
+    def test_canonical_order_beyond_the_naive_filter(self):
+        # the naive filter stops at 10 vertices; past it, check the order,
+        # distinctness, independence and maximality of each set directly
+        rng = random.Random(24)
+        for _ in range(40):
+            n = rng.randint(11, 30)
+            adj = random_graph(rng, n)
+            masks = maximal_independent_sets(adj)
+            assert masks == canonical(masks)
+            assert len(set(masks)) == len(masks)
+            for m in masks:
+                for v in range(n):
+                    if m >> v & 1:
+                        assert adj[v] & m == 0
+                    else:
+                        assert adj[v] & m
+
     def test_maximal_independent_sets_of_empty_graph(self):
         assert maximal_independent_sets([]) == [0]
         assert maximal_independent_sets([0, 0]) == [0b11]
@@ -229,16 +256,20 @@ class TestNodeSets:
     def test_node_masks_match_naive_and_decode(self):
         # node v is bit v-1; the order is by ascending member tuples
         for net in all_networks(5):
-            adj = [0] * net.node_count
-            for a, b in net.edges:
-                adj[a - 1] |= 1 << (b - 1)
-                adj[b - 1] |= 1 << (a - 1)
             masks = enumerate_mis_node_masks(net)
-            assert masks == canonical(reference.maximal_independent_sets(adj))
+            assert masks == canonical(
+                reference.maximal_independent_sets(node_adjacency(net)))
             members = [tuple(v for v in range(net.node_count) if m >> v & 1)
                        for m in masks]
             assert enumerate_mis_nodes(net) == [
                 frozenset(v + 1 for v in t) for t in members]
+
+    def test_node_masks_match_naive_at_the_node_cap(self):
+        rng = random.Random(8)
+        for _ in range(60):
+            net = _random_network(8, rng.choice((0.2, 0.4, 0.6)), rng)
+            assert enumerate_mis_node_masks(net) == canonical(
+                reference.maximal_independent_sets(node_adjacency(net)))
 
     def test_adjacent_nodes_never_together(self, five_node):
         for s in enumerate_mis_nodes(five_node):

@@ -12,7 +12,7 @@ from mtrsched.exact import (_simplex_min_ge, reduce_node_demands, solve_ilp,
 from mtrsched.heuristics import hwf, hwf_tiebreak_mdf, mdf
 from mtrsched.metrics import lower_bounds, validate_schedule
 from mtrsched.model import (Instance, Network, _random_demands,
-                            _random_network, gen_complete,
+                            _random_network, gen_complete, gen_demands,
                             gen_grid, gen_linear, gen_random, gen_ring)
 from mtrsched.schedule import schedule_to_json
 
@@ -655,6 +655,33 @@ class TestSolveIlp:
         assert solves == 0 and runs > 1
         assert (sol.lp_objective, sol.objective) == (F(15, 7), 3)
         assert type(sol.lp_objective) is Fraction
+
+    @pytest.mark.parametrize("net, demands, greedies", [
+        (gen_linear(16), (1,) * 30, 1),
+        (gen_linear(6), gen_demands(gen_linear(6), 1, 10, False, 1), 2),
+        (gen_complete(4), (1,) * 12, 3)],
+        ids=["line16-unit", "line6-seed1", "K4-unit"])
+    def test_seeding_stops_at_node_bound(self, monkeypatch, net, demands,
+                                         greedies):
+        # no schedule is shorter than the node bound, so seeding stops at
+        # the first greedy to meet it: HWF on the unit line (bound 2); MDF
+        # on line 6 (bound 16, HWF 20, MDF 16); never on unit K4 (bound 2,
+        # every greedy 4).  The seed stays that of all three greedies.
+        inst = Instance(net, demands)
+        ref = solve_ilp_unpruned(inst)
+        modes = []
+        real = heuristics.greedy_rounds
+
+        def counting(demands, adj, mode):
+            modes.append(mode)
+            return real(demands, adj, mode)
+
+        monkeypatch.setattr(heuristics, "greedy_rounds", counting)
+        sol = solve_ilp(inst)
+        assert modes == [heuristics.HWF, heuristics.MDF,
+                         heuristics.HWF_TIE_MDF][:greedies]
+        assert sol == ref
+        assert schedule_to_json(sol.schedule) == schedule_to_json(ref.schedule)
 
     def test_one_conflict_graph_and_no_public_greedy(self, monkeypatch):
         builds = []

@@ -11,14 +11,24 @@ one by running the corpus on both commits and comparing the lines.
 import hashlib
 import random
 
+import pytest
+
 from mtrsched.exact import solve_ilp, solve_lp, solve_mis_suboptimal
 from mtrsched.experiments import ExperimentConfig, run_experiment
 from mtrsched.heuristics import hwf, hwf_tiebreak_mdf, mdf
 from mtrsched.model import (Instance, _random_network, gen_complete, gen_grid,
-                            gen_ring, save_instance)
+                            gen_linear, gen_ring, save_instance)
 from mtrsched.schedule import schedule_to_json
 
 GOLDEN_SHA256 = "47d1358c15847c9a3bc69b55593e819e34f389d393438cceda4f04dcee799655"
+
+# The corpus stops at 24 links.  At the 30-link cap, unit demands: ring 15
+# (1,366 maximal matchings) and the 16-node line (1,220), whose allocation
+# pins the column order of the largest LPs the exact layer admits.
+CAP_EDGE_SHA256 = {
+    "ring15": "458daee10cb889e438df7cd3a6ce9b68259022b7a3d1dc33dd2aa1e2df7855d9",
+    "line16": "6ba49826e72d86edc82fecd3f7120c3d80e8f5fb89c1f7f4d43c5e42f8ce26c8",
+}
 
 
 def corpus():
@@ -62,3 +72,12 @@ def test_outputs_match_golden_digest():
     for line in output_lines():
         h.update(line.encode() + b"\n")
     assert h.hexdigest() == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("name, net", [("ring15", gen_ring(15)),
+                                       ("line16", gen_linear(16))])
+def test_cap_edge_solves_match_digest(name, net):
+    sol = solve_ilp(Instance(net, (1,) * len(net.links)))
+    text = (f"{sol.objective} {sol.allocation} {sol.lp_objective}\n"
+            f"{schedule_to_json(sol.schedule)}")
+    assert hashlib.sha256(text.encode()).hexdigest() == CAP_EDGE_SHA256[name]
