@@ -254,7 +254,8 @@ def _worker_count(jobs: int, trials: int, cpus: int | None) -> int:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the configured campaign and aggregate the results."""
     _check_config(config)
-    workers = _worker_count(config.jobs, config.trials, os.cpu_count())
+    workers = (_worker_count(config.jobs, config.trials, os.cpu_count())
+               if config.jobs > 1 else 1)
     if workers > 1:
         # imported here: a campaign without a pool (and every other use of
         # the package) never loads multiprocessing

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .model import Instance, Link, Network
@@ -25,7 +26,7 @@ def cost_penalty(total: int, optimum: int) -> Fraction:
             return Fraction(0)
         raise UndefinedPenaltyError(
             f"total {total} > 0 against optimum 0 has no defined penalty")
-    return Fraction(total - optimum, optimum) * 100
+    return Fraction(100 * (total - optimum), optimum)
 
 
 def _node_bound(network: Network, demands: Sequence[int]) -> int:
@@ -52,11 +53,13 @@ def lower_bounds(instance: Instance) -> tuple[int, int]:
     them spends at least their sum.
     """
     net = instance.network
-    edge_bound = 0
-    for a, b in net.edges:
-        pair = instance.demand_of((a, b)) + instance.demand_of((b, a))
-        edge_bound = max(edge_bound, pair)
-    return edge_bound, _node_bound(net, instance.demands)
+    index, demands = net._index, instance.demands
+    edge_bound = max([demands[index[a, b]] + demands[index[b, a]]
+                      for a, b in net.edges], default=0)
+    return edge_bound, _node_bound(net, demands)
+
+
+_tx, _rx = itemgetter(0), itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -76,15 +79,19 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> list[Violation]
 
     Violations come entry by entry (bad slot count, unknown links, then
     R3 conflicts in pair order), followed by under-covered links in link
-    order.  An entry's links conflict iff some node both transmits and
-    receives in it, so entries whose transmitter and receiver sets are
-    disjoint skip the pairwise scan.  Coverage counts each entry once per
-    distinct link, as ``Schedule.coverage`` does, in one pass.
+    order.  An entry whose distinct links are a subset of the network's
+    passes the unknown-link check with one set inclusion; only an entry
+    that fails it walks its links one by one, to report each unknown
+    link in entry order.  An entry's links conflict iff some node both
+    transmits and receives in it, so entries whose transmitter and
+    receiver sets are disjoint skip the pairwise scan.  Coverage is a
+    list indexed by link index and counts each entry once per distinct
+    link, as ``Schedule.coverage`` does, in one pass.
     """
     net = instance.network
-    has_link = net.has_link
+    index = net._index
     out: list[Violation] = []
-    coverage: dict[Link, int] = {}
+    coverage = [0] * len(net.links)
     for e_idx, entry in enumerate(schedule.entries):
         slots = entry.slots
         if slots <= 0:
@@ -92,18 +99,23 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> list[Violation]
                 "bad-slots",
                 f"entry {e_idx} has non-positive slot count {slots}",
                 links=entry.links))
-        known = []
-        for link in entry.links:
-            if not has_link(link):
-                out.append(Violation(
-                    "unknown-link",
-                    f"entry {e_idx} uses link {link} absent from the network",
-                    links=(link,)))
-            else:
-                known.append(link)
-        for link in set(entry.links):
-            coverage[link] = coverage.get(link, 0) + slots
-        if {i for i, _ in known}.isdisjoint([j for _, j in known]):
+        distinct = set(entry.links)
+        if distinct <= index.keys():
+            known = entry.links
+        else:
+            known = []
+            for link in entry.links:
+                if link not in index:
+                    out.append(Violation(
+                        "unknown-link",
+                        f"entry {e_idx} uses link {link} absent from the network",
+                        links=(link,)))
+                else:
+                    known.append(link)
+            distinct = set(known)
+        for i in map(index.__getitem__, distinct):
+            coverage[i] += slots
+        if set(map(_tx, known)).isdisjoint(map(_rx, known)):
             continue
         for x in range(len(known)):
             i, j = known[x]
@@ -116,8 +128,7 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> list[Violation]
                         f"entry {e_idx}: links {known[x]} and {known[y]} make "
                         f"node {node} transmit and receive at once (rule R3)",
                         links=(known[x], known[y]), node=node, rule="R3"))
-    for link, demand in zip(net.links, instance.demands):
-        covered = coverage.get(link, 0)
+    for link, demand, covered in zip(net.links, instance.demands, coverage):
         if covered < demand:
             out.append(Violation(
                 "under-coverage",

@@ -6,7 +6,7 @@ import pytest
 from mtrsched.heuristics import hwf, mdf
 from mtrsched.metrics import (UndefinedPenaltyError, cost_penalty,
                               lower_bounds, validate_schedule)
-from mtrsched.model import Instance, gen_linear
+from mtrsched.model import Instance, Network, gen_linear
 from mtrsched.schedule import Schedule, ScheduleEntry
 
 import reference
@@ -46,6 +46,26 @@ class TestLowerBounds:
         for _ in range(200):
             edge_b, node_b = lower_bounds(random_instance(rng, allow_zero=True))
             assert node_b >= edge_b
+
+    def test_matches_bounds_from_demand_of(self):
+        def by_demand_of(inst):
+            net, d = inst.network, inst.demand_of
+            edge_b = max([d((a, b)) + d((b, a)) for a, b in net.edges],
+                         default=0)
+            node_b = max([max([d((v, w)) for w in net.neighbors(v)], default=0)
+                          + max([d((w, v)) for w in net.neighbors(v)], default=0)
+                          for v in range(1, net.node_count + 1)])
+            return edge_b, node_b
+
+        rng = random.Random(56)
+        instances = [random_instance(rng, max_nodes=rng.choice([4, 8, 12]),
+                                     allow_zero=True) for _ in range(200)]
+        assert any(not inst.network.neighbors(v) for inst in instances
+                   for v in range(1, inst.network.node_count + 1))
+        instances += [Instance(Network(4, []), ()),
+                      Instance(Network(6, [(2, 5), (5, 6)]), (3, 0, 4, 1))]
+        for inst in instances:
+            assert lower_bounds(inst) == by_demand_of(inst)
 
 
 class TestValidate:
@@ -125,12 +145,35 @@ def _corrupt(rng, inst, sched):
 
 def test_validate_matches_reference_on_corrupted_schedules():
     rng = random.Random(77)
-    kinds = set()
+    cases = []
     for _ in range(400):
         inst = random_instance(rng, max_nodes=rng.choice([4, 8, 20]),
                                allow_zero=True)
-        sched = _corrupt(rng, inst, rng.choice([hwf, mdf])(inst))
+        cases.append((inst, _corrupt(rng, inst, rng.choice([hwf, mdf])(inst))))
+    # built by hand, past schedule_from_json's refusal of repeated links:
+    # a known link twice, an absent link twice, a link with its reverse,
+    # then an entry of 0 slots
+    line3 = Instance(gen_linear(3), (3, 1, 1, 2))
+    hand_built = Schedule((
+        ScheduleEntry(((1, 2), (5, 6), (1, 2), (2, 1), (5, 6)), 2),
+        ScheduleEntry(((2, 3),), 0)))
+    cases.append((line3, hand_built))
+    kinds = set()
+    for inst, sched in cases:
         got = validate_schedule(inst, sched)
         assert got == reference.validate_schedule(inst, sched)
         kinds.update(v.kind for v in got)
     assert kinds == {"bad-slots", "unknown-link", "conflict", "under-coverage"}
+    # unknown links in entry order; (1, 2) covered once by its entry
+    assert [v.message for v in validate_schedule(line3, hand_built)] == [
+        "entry 0 uses link (5, 6) absent from the network",
+        "entry 0 uses link (5, 6) absent from the network",
+        "entry 0: links (1, 2) and (2, 1) make node 1 transmit and receive "
+        "at once (rule R3)",
+        "entry 0: links (1, 2) and (2, 1) make node 1 transmit and receive "
+        "at once (rule R3)",
+        "entry 1 has non-positive slot count 0",
+        "link (1, 2) gets 2 of 3 demanded slots",
+        "link (2, 3) gets 0 of 1 demanded slots",
+        "link (3, 2) gets 0 of 2 demanded slots",
+    ]
