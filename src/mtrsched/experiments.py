@@ -254,8 +254,7 @@ def _worker_count(jobs: int, trials: int, cpus: int | None) -> int:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the configured campaign and aggregate the results."""
     _check_config(config)
-    workers = (_worker_count(config.jobs, config.trials, os.cpu_count())
-               if config.jobs > 1 else 1)
+    workers = _worker_count(config.jobs, config.trials, os.cpu_count())
     if workers > 1:
         # imported here: a campaign without a pool (and every other use of
         # the package) never loads multiprocessing

@@ -41,10 +41,9 @@ def greedy_rounds(demands: Sequence[int], adj: Sequence[int],
     ties keep their relative order from the previous round.  A mode is a
     tuple of stable descending sorts applied in order (HWF: residual;
     MDF: degree; hybrid: degree, then residual); ``reverse=True`` keeps
-    ties in order, as a negated key would.  Only MDF and the hybrid read
-    degrees, so only they keep ``amask``, the live mask of active links,
-    from which each exhausted link is XORed out; the degree key is the
-    popcount of a link's conflict mask against it.
+    ties in order, as a negated key would.  The degree key is the
+    popcount of a link's conflict mask against ``amask``, the live mask
+    of active links, from which each exhausted link is XORed out.
 
     The sorted list is scanned once, adding every conflict-free link; the
     matching then gets the minimum residual among its members, which is
@@ -59,19 +58,16 @@ def greedy_rounds(demands: Sequence[int], adj: Sequence[int],
     """
     residual = list(demands)
     active = [v for v in range(len(residual)) if residual[v] > 0]
+    amask = 0
+    for v in active:
+        amask |= 1 << v
     by_residual = residual.__getitem__
-    degrees = mode != HWF
-    if degrees:
-        amask = 0
-        for v in active:
-            amask |= 1 << v
 
-        def by_degree(v: int) -> int:
-            return (adj[v] & amask).bit_count()
+    def by_degree(v: int) -> int:
+        return (adj[v] & amask).bit_count()
 
-        keys = {MDF: (by_degree,), HWF_TIE_MDF: (by_degree, by_residual)}[mode]
-    else:
-        keys = (by_residual,)
+    keys = {HWF: (by_residual,), MDF: (by_degree,),
+            HWF_TIE_MDF: (by_degree, by_residual)}[mode]
     rounds: list[tuple[int, int]] = []
     while active:
         for key in keys:
@@ -84,14 +80,10 @@ def greedy_rounds(demands: Sequence[int], adj: Sequence[int],
                 members.append(v)
         slots = min(map(by_residual, members))
         rounds.append((sel, slots))
-        if degrees:
-            for v in members:
-                residual[v] -= slots
-                if not residual[v]:
-                    amask ^= 1 << v
-        else:
-            for v in members:
-                residual[v] -= slots
+        for v in members:
+            residual[v] -= slots
+            if not residual[v]:
+                amask ^= 1 << v
         active = list(filter(by_residual, active))
     return rounds
 

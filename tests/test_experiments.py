@@ -65,14 +65,6 @@ class TestRunExperiment:
     def test_worker_count_clamped(self, jobs, trials, cpus, workers):
         assert _worker_count(jobs, trials, cpus) == workers
 
-    def test_serial_campaign_does_not_ask_for_cpus(self, monkeypatch):
-        # a serial campaign runs one worker whatever the CPU count
-        def refuse():
-            raise AssertionError("cpu_count called by a serial campaign")
-        monkeypatch.setattr(experiments.os, "cpu_count", refuse)
-        rep = run_experiment(small(trials=3, jobs=1))
-        assert [r.trial for r in rep.records] == [0, 1, 2]
-
     def test_aggregates_recomputable(self):
         rep = run_experiment(small(trials=30))
         for alg in rep.config.algorithms:

@@ -145,11 +145,15 @@ def _corrupt(rng, inst, sched):
 
 def test_validate_matches_reference_on_corrupted_schedules():
     rng = random.Random(77)
-    cases = []
+    kinds = set()
     for _ in range(400):
         inst = random_instance(rng, max_nodes=rng.choice([4, 8, 20]),
                                allow_zero=True)
-        cases.append((inst, _corrupt(rng, inst, rng.choice([hwf, mdf])(inst))))
+        sched = _corrupt(rng, inst, rng.choice([hwf, mdf])(inst))
+        got = validate_schedule(inst, sched)
+        assert got == reference.validate_schedule(inst, sched)
+        kinds.update(v.kind for v in got)
+    assert kinds == {"bad-slots", "unknown-link", "conflict", "under-coverage"}
     # built by hand, past schedule_from_json's refusal of repeated links:
     # a known link twice, an absent link twice, a link with its reverse,
     # then an entry of 0 slots
@@ -157,15 +161,10 @@ def test_validate_matches_reference_on_corrupted_schedules():
     hand_built = Schedule((
         ScheduleEntry(((1, 2), (5, 6), (1, 2), (2, 1), (5, 6)), 2),
         ScheduleEntry(((2, 3),), 0)))
-    cases.append((line3, hand_built))
-    kinds = set()
-    for inst, sched in cases:
-        got = validate_schedule(inst, sched)
-        assert got == reference.validate_schedule(inst, sched)
-        kinds.update(v.kind for v in got)
-    assert kinds == {"bad-slots", "unknown-link", "conflict", "under-coverage"}
+    got = validate_schedule(line3, hand_built)
+    assert got == reference.validate_schedule(line3, hand_built)
     # unknown links in entry order; (1, 2) covered once by its entry
-    assert [v.message for v in validate_schedule(line3, hand_built)] == [
+    assert [v.message for v in got] == [
         "entry 0 uses link (5, 6) absent from the network",
         "entry 0 uses link (5, 6) absent from the network",
         "entry 0: links (1, 2) and (2, 1) make node 1 transmit and receive "
