@@ -2,8 +2,9 @@
 branch-and-bound on top of it, and the all-outgoing-links relaxation.
 
 Everything here is exact: the LP data are ints, the simplex divides
-only through fractions.Fraction, and every LP result is a Fraction;
-there are no floating-point tolerances anywhere.  Exactness is not cheap:
+only through fractions.Fraction and keeps every whole-number entry as an
+int, and every LP result is a Fraction; there are no floating-point
+tolerances anywhere.  Exactness is not cheap:
 in a solve that runs the LP, the rational simplex takes nearly all of the
 time, far more than enumeration or the greedy seeding (perfbench/
 measures the shares).
@@ -96,8 +97,11 @@ def _simplex_min_ge(cost: list[int], rows: list[list[int]],
     when the constraints admit no solution.
 
     The data are ints (Fractions work too).  The pivot and the ratio test
-    divide through Fraction, so entries stay ints while the pivots are on
-    1s; the objective and x come back as Fractions.
+    divide through Fraction, and a pivot stores every whole-number result
+    back as an int, so the tableau stays in int arithmetic wherever its
+    values allow.  An int compares equal to the Fraction it replaces, so
+    the pivot rule sees the same values and the outputs do not change;
+    the objective and x come back as Fractions.
 
     Two-phase simplex on one augmented tableau.  Its m constraint rows
     span the n structural columns, one surplus column per row, one
@@ -146,12 +150,14 @@ def _simplex_min_ge(cost: list[int], rows: list[list[int]],
         inv = _ONE / prow[pc]
         if inv != 1:
             for k in nz:
-                prow[k] *= inv
+                v = prow[k] * inv
+                prow[k] = v.numerator if v.denominator == 1 else v
         for row in tab:
             factor = row[pc]
             if factor and row is not prow:
                 for k in nz:
-                    row[k] -= factor * prow[k]
+                    v = row[k] - factor * prow[k]
+                    row[k] = v.numerator if v.denominator == 1 else v
         basis[pr] = pc
 
     def run_phase(red: list[int | Fraction], banned_from: int) -> None:

@@ -107,14 +107,18 @@ def _call_counter(monkeypatch, name):
     return run
 
 
-def _pivot_calls(simplex, cost, rows, rhs):
+def _pivot_calls(simplex, cost, rows, rhs, elements=None):
     """Run one simplex and record the (row, column) arguments of every
-    call to its inner ``pivot``."""
+    call to its inner ``pivot``; when ``elements`` is a list, also append
+    each pivot's element, read from the simplex's tableau ``tab``."""
     calls = []
 
     def hook(frame, event, arg):
         if event == "call" and frame.f_code.co_name == "pivot":
-            calls.append((frame.f_locals["pr"], frame.f_locals["pc"]))
+            pr, pc = frame.f_locals["pr"], frame.f_locals["pc"]
+            calls.append((pr, pc))
+            if elements is not None:
+                elements.append(frame.f_locals["tab"][pr][pc])
 
     sys.setprofile(hook)
     try:
@@ -221,6 +225,74 @@ class TestSimplex:
             assert got == want
             assert got_pivots == want_pivots
         assert reentering >= 8
+
+    def test_pivot_sequence_matches_reference_on_branching_dense_programs(self):
+        # K5 and random 5-node p=0.9 networks with asymmetric demands 1..50
+        # branch, so their programs carry bound rows with lo >= 2 and pivot
+        # off +-1: whole-number results arise as Fractions there, and the
+        # package stores them back as ints.  Pin (objective, x) and every
+        # pivot of all their int programs, and that enough of them pivot
+        # off +-1 that the test keeps reaching those results
+        programs = []
+
+        def record(cost, rows, rhs):
+            programs.append((list(cost), [list(r) for r in rows], list(rhs)))
+            return _simplex_min_ge(cost, rows, rhs)
+
+        nets = ([(gen_complete(5), seed) for seed in (2, 3)]
+                + [(gen_random(5, 0.9, seed), seed) for seed in (51, 145)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_simplex_min_ge", record)
+            for net, seed in nets:
+                solve_ilp(Instance(net, gen_demands(net, 1, 50, False, seed)))
+        off_unit = 0
+        for cost, rows, rhs in programs:
+            elements = []
+            want, want_pivots = _pivot_calls(
+                reference_simplex, [F(c) for c in cost], fr(rows),
+                [F(b) for b in rhs], elements)
+            got, got_pivots = _pivot_calls(_simplex_min_ge, cost, rows, rhs)
+            assert got == want
+            assert got_pivots == want_pivots
+            off_unit += any(abs(e) != 1 for e in elements)
+        assert off_unit >= 15
+
+    def test_results_are_fractions(self):
+        # an int equals the Fraction of its value, so the comparisons with
+        # the reference cannot tell whether an int left the tableau
+        def check(result):
+            if result is not None:
+                obj, x = result
+                assert type(obj) is Fraction
+                assert all(type(v) is Fraction for v in x)
+
+        for cost, rows, rhs in (_rational_lp_corpus()
+                                + _degenerate_covering_family()):
+            check(_simplex_min_ge(cost, rows, rhs))
+        rng = random.Random(2027)
+        for _ in range(60):
+            inst = random_instance(rng, demand_hi=50)
+            masks = conflict.enumerate_maximal_matching_masks(
+                conflict.build_conflict_graph(inst.network))
+            j = rng.randrange(len(masks))
+            for bounds in (None, {j: (2, None)}, {j: (0, 1)}):
+                check(exact._covering_lp(masks, inst.demands, bounds))
+
+    def test_solvers_return_fractions(self):
+        insts = [Instance(gen_complete(n), (d,) * (n * (n - 1)))
+                 for n, d, _, _ in FRACTIONAL_ROOT_FIXTURES]
+        insts.append(Instance(gen_grid(2, 4), (1,) * 20))
+        rng = random.Random(2028)
+        insts += [random_instance(rng, allow_zero=True) for _ in range(20)]
+        for inst in insts:
+            lp = solve_lp(inst)
+            ilp = solve_ilp(inst)
+            mis = solve_mis_suboptimal(inst)
+            for v in (lp.objective, *lp.allocation, ilp.lp_objective,
+                      mis.objective, *mis.allocation):
+                assert type(v) is Fraction
+            assert type(ilp.objective) is int
+            assert all(type(u) is int for u in ilp.allocation)
 
     def test_int_data_beyond_float_precision(self):
         # int / int is a float, which cannot tell 2**60 + 1 from 2**60 - 3:
