@@ -291,7 +291,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
     except (_UsageError, experiments._ConfigError, InstanceFormatError,
-            InvalidSizeError, ScheduleFormatError, OSError) as exc:
+            InvalidSizeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -57,16 +57,13 @@ class ConflictGraph:
         self.n_links = len(links)
         # (i,j) conflicts exactly with the links into i and out of j.  The
         # masks are keyed by the nodes that have links, whatever their
-        # labels; a node's outgoing links are one run of the sorted list.
-        runs = network._neighbors
-        into = dict.fromkeys(runs, 0)
-        out = {}
-        start = 0
-        for v, nbrs in runs.items():
-            out[v] = ((1 << len(nbrs)) - 1) << start
-            start += len(nbrs)
-        for a, (_, j) in enumerate(links):
-            into[j] |= 1 << a
+        # labels; every edge adds both orientations, so each endpoint of a
+        # link has both masks.
+        into: dict[int, int] = {}
+        out: dict[int, int] = {}
+        for a, (i, j) in enumerate(links):
+            out[i] = out.get(i, 0) | 1 << a
+            into[j] = into.get(j, 0) | 1 << a
         self.masks: tuple[int, ...] = tuple(into[i] | out[j] for i, j in links)
 
     def adjacent(self, a: Link, b: Link) -> bool:

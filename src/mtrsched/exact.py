@@ -230,7 +230,10 @@ def _priced_root(masks: list[int], demands: Sequence[int],
     never below the LP's: once its ceiling falls below best_total the
     full LP can only do the same.  Otherwise the most violated matching
     (the first of equal sums) joins, until none is violated and the value
-    is the LP's own."""
+    is the LP's own.  Columns are priced in rather than all taken at once
+    because the count of maximal matchings grows exponentially: at the
+    link cap it reaches tens of thousands, while the restricted duals
+    stay a few rows each."""
     n = len(demands)
     cost = [-d for d in demands]
 

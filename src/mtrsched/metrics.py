@@ -79,14 +79,12 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> list[Violation]
 
     Violations come entry by entry (bad slot count, unknown links, then
     R3 conflicts in pair order), followed by under-covered links in link
-    order.  An entry whose distinct links are a subset of the network's
-    passes the unknown-link check with one set inclusion; only an entry
-    that fails it walks its links one by one, to report each unknown
-    link in entry order.  An entry's links conflict iff some node both
-    transmits and receives in it, so entries whose transmitter and
-    receiver sets are disjoint skip the pairwise scan.  Coverage is a
-    list indexed by link index and counts each entry once per distinct
-    link, as ``Schedule.coverage`` does, in one pass.
+    order.  One walk over an entry's links reports each unknown link in
+    entry order and keeps the known ones.  An entry's links conflict iff
+    some node both transmits and receives in it, so entries whose
+    transmitter and receiver sets are disjoint skip the pairwise scan.
+    Coverage is a list indexed by link index and counts each entry once
+    per distinct link, as ``Schedule.coverage`` does, in one pass.
     """
     net = instance.network
     index = net._index
@@ -99,21 +97,16 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> list[Violation]
                 "bad-slots",
                 f"entry {e_idx} has non-positive slot count {slots}",
                 links=entry.links))
-        distinct = set(entry.links)
-        if distinct <= index.keys():
-            known = entry.links
-        else:
-            known = []
-            for link in entry.links:
-                if link not in index:
-                    out.append(Violation(
-                        "unknown-link",
-                        f"entry {e_idx} uses link {link} absent from the network",
-                        links=(link,)))
-                else:
-                    known.append(link)
-            distinct = set(known)
-        for i in map(index.__getitem__, distinct):
+        known = []
+        for link in entry.links:
+            if link in index:
+                known.append(link)
+            else:
+                out.append(Violation(
+                    "unknown-link",
+                    f"entry {e_idx} uses link {link} absent from the network",
+                    links=(link,)))
+        for i in {index[link] for link in known}:
             coverage[i] += slots
         if set(map(_tx, known)).isdisjoint(map(_rx, known)):
             continue

@@ -103,6 +103,7 @@ def _call_counter(monkeypatch, name):
         calls.clear()
         return solve(inst), len(calls)
 
+    run.calls = calls
     monkeypatch.setattr(exact, name, counting)
     return run
 
@@ -727,6 +728,24 @@ class TestSolveIlp:
         assert solves == 0 and runs > 1
         assert (sol.lp_objective, sol.objective) == (F(15, 7), 3)
         assert type(sol.lp_objective) is Fraction
+
+    def test_priced_root_keeps_programs_small_on_24576_columns(
+            self, lp_solves, programs):
+        # a triangle plus 12 disjoint edges, 30 links at the cap: 6 * 2**12
+        # maximal matchings, every greedy 3, LP 3.  The root is priced to a
+        # prune by restricted duals of a few rows each; one dual with a row
+        # per matching takes minutes to solve.
+        edges = [(1, 2), (1, 3), (2, 3)] + [(v, v + 1) for v in range(4, 28, 2)]
+        net = Network(27, edges)
+        inst = Instance(net, (1,) * len(net.links))
+        assert len(net.links) == 30
+        assert len(conflict.enumerate_maximal_matching_masks(
+            conflict.build_conflict_graph(net))) == 24576
+        (sol, solves), runs = programs(lambda i: lp_solves(solve_ilp, i), inst)
+        assert (sol.lp_objective, sol.objective) == (3, 3)
+        assert solves == 0 and runs > 0
+        # each recorded call is (cost, rows, rhs), one rhs entry per row
+        assert all(len(rhs) <= 5 for _, _, rhs in programs.calls)
 
     @pytest.mark.parametrize("net, demands, greedies", [
         (gen_linear(16), (1,) * 30, 1),
