@@ -16,7 +16,6 @@ exception is a bug and propagates.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -25,7 +24,7 @@ from .conflict import SizeLimitError
 from .exact import solve_ilp, solve_lp, solve_mis_suboptimal
 from .model import (TOPOLOGIES, InstanceFormatError, InvalidSizeError,
                     gen_demands, gen_fixed_topology, gen_random, load_instance,
-                    save_instance, Instance)
+                    save_instance, Instance, _dump_json)
 from .schedule import ScheduleFormatError, schedule_from_json, schedule_to_json
 
 EXIT_OK = 0
@@ -171,7 +170,7 @@ def cmd_solve(args) -> int:
             sol = solve_mis_suboptimal(instance)
             key, sets = "nodes", sol.node_sets
         total = sol.objective
-        out_doc = json.dumps({
+        out_doc = _dump_json({
             "objective": str(total),
             "allocation": [{key: sorted(s), "slots": str(u)}
                            for s, u in zip(sets, sol.allocation) if u],

@@ -37,13 +37,15 @@ def greedy_rounds(demands: Sequence[int], adj: Sequence[int],
     demand.  Returns [(member_bitmask, slots), ...].
 
     One persistent list holds the active links, initially in ascending
-    index order.  Each round stable-sorts it by the mode's key, so key
-    ties keep their relative order from the previous round.  A mode is a
-    tuple of stable descending sorts applied in order (HWF: residual;
-    MDF: degree; hybrid: degree, then residual); ``reverse=True`` keeps
-    ties in order, as a negated key would.  The degree key is the
-    popcount of a link's conflict mask against ``amask``, the live mask
-    of active links, from which each exhausted link is XORed out.
+    index order.  Each round makes one stable descending sort of it by
+    the mode's key, so key ties keep their relative order from the
+    previous round; ``reverse=True`` keeps ties in order, as a negated key
+    would.  A mode is one key: HWF the residual, MDF the degree, the
+    hybrid ``residual * n + degree`` for n links.  A conflict mask has no
+    self bit, so a degree is below n and the hybrid's key orders by
+    residual, then degree.  The degree is the popcount of a link's
+    conflict mask against ``amask``, the live mask of active links, from
+    which each exhausted link is XORed out.
 
     The sorted list is scanned once, adding every conflict-free link; the
     matching then gets the minimum residual among its members, which is
@@ -57,7 +59,8 @@ def greedy_rounds(demands: Sequence[int], adj: Sequence[int],
     work outweighs the rounds themselves (perfbench/ measures the shares).
     """
     residual = list(demands)
-    active = [v for v in range(len(residual)) if residual[v] > 0]
+    n = len(residual)
+    active = [v for v in range(n) if residual[v] > 0]
     amask = 0
     for v in active:
         amask |= 1 << v
@@ -66,12 +69,14 @@ def greedy_rounds(demands: Sequence[int], adj: Sequence[int],
     def by_degree(v: int) -> int:
         return (adj[v] & amask).bit_count()
 
-    keys = {HWF: (by_residual,), MDF: (by_degree,),
-            HWF_TIE_MDF: (by_degree, by_residual)}[mode]
+    def by_residual_then_degree(v: int) -> int:
+        return residual[v] * n + (adj[v] & amask).bit_count()
+
+    key = {HWF: by_residual, MDF: by_degree,
+           HWF_TIE_MDF: by_residual_then_degree}[mode]
     rounds: list[tuple[int, int]] = []
     while active:
-        for key in keys:
-            active.sort(key=key, reverse=True)
+        active.sort(key=key, reverse=True)
         sel = 0
         members = []
         for v in active:

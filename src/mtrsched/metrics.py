@@ -79,10 +79,11 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> list[Violation]
 
     Violations come entry by entry (bad slot count, unknown links, then
     R3 conflicts in pair order), followed by under-covered links in link
-    order.  One walk over an entry's links reports each unknown link in
-    entry order and keeps the known ones.  An entry's links conflict iff
-    some node both transmits and receives in it, so entries whose
-    transmitter and receiver sets are disjoint skip the pairwise scan.
+    order.  One walk over an entry's links looks each link up once: an
+    unknown link is reported in entry order, a known one is kept along
+    with its index.  An entry's links conflict iff some node both
+    transmits and receives in it, so entries whose transmitter and
+    receiver sets are disjoint skip the pairwise scan.
     Coverage is a list indexed by link index and counts each entry once
     per distinct link, as ``Schedule.coverage`` does, in one pass.
     """
@@ -97,16 +98,18 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> list[Violation]
                 "bad-slots",
                 f"entry {e_idx} has non-positive slot count {slots}",
                 links=entry.links))
-        known = []
+        known, ids = [], set()
         for link in entry.links:
-            if link in index:
-                known.append(link)
-            else:
+            i = index.get(link)
+            if i is None:
                 out.append(Violation(
                     "unknown-link",
                     f"entry {e_idx} uses link {link} absent from the network",
                     links=(link,)))
-        for i in {index[link] for link in known}:
+            else:
+                known.append(link)
+                ids.add(i)
+        for i in ids:
             coverage[i] += slots
         if set(map(_tx, known)).isdisjoint(map(_rx, known)):
             continue

@@ -245,6 +245,14 @@ def _random_demands(network: Network, lo: int, hi: int, symmetric: bool,
     return tuple(demands)
 
 
+# The package's documents are trees of dicts, lists, tuples, ints and strs,
+# so the encoder's circular-reference table, which records and forgets an
+# id for every container it enters, never finds a cycle; without it the
+# output is byte-identical to ``json.dumps``, and a document that does
+# contain itself raises RecursionError instead of ValueError.
+_dump_json = json.JSONEncoder(check_circular=False).encode
+
+
 def save_instance(instance: Instance) -> str:
     """Serialize an instance to its canonical JSON document."""
     net = instance.network
@@ -256,7 +264,7 @@ def save_instance(instance: Instance) -> str:
             for i, (tx, rx) in enumerate(net.links)
         ],
     }
-    return json.dumps(doc)
+    return _dump_json(doc)
 
 
 def _parse_json(text: str | bytes, error_cls: type[ValueError]):

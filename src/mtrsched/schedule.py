@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .model import Link, _parse_json
+from .model import Link, _dump_json, _parse_json
 
 __all__ = ["ScheduleEntry", "Schedule", "ScheduleFormatError",
            "schedule_to_json", "schedule_from_json"]
@@ -39,6 +38,10 @@ class Schedule:
 
 
 def schedule_to_json(schedule: Schedule) -> str:
+    """The schedule's JSON document, byte-identical to ``json.dumps`` of
+    it.  The encoder keeps no circular-reference table (see
+    ``model._dump_json``), so a hand-built entry whose links list contains
+    itself raises RecursionError rather than ValueError."""
     doc = {
         "entries": [
             {"links": e.links, "slots": e.slots}  # tuples encode as arrays
@@ -46,7 +49,7 @@ def schedule_to_json(schedule: Schedule) -> str:
         ],
         "total": schedule.total_slots,
     }
-    return json.dumps(doc)
+    return _dump_json(doc)
 
 
 def schedule_from_json(text: str | bytes) -> Schedule:

@@ -6,7 +6,7 @@ from mtrsched.conflict import build_conflict_graph, is_matching, is_maximal
 from mtrsched.heuristics import (HWF, HWF_TIE_MDF, MDF, greedy_rounds, hwf,
                                  hwf_tiebreak_mdf, mdf)
 from mtrsched.model import (Instance, gen_complete, gen_grid, gen_linear,
-                            gen_ring)
+                            gen_random, gen_ring)
 from mtrsched.schedule import Schedule
 
 import reference
@@ -183,6 +183,15 @@ def test_greedy_rounds_match_reference():
         cases.append(([5] * n, adj))
         cases.append(([rng.randint(0, 2) for _ in range(n)], adj))
         cases.append(([rng.randint(0, 10) for _ in range(n)], adj))
+    # the largest greedy-large class: a random n=30, p=0.3 network
+    adj = build_conflict_graph(gen_random(30, 0.3, 6)).masks
+    assert len(adj) == 262
+    cases.append(([rng.randint(1, 10) for _ in adj], adj))
+    # residuals near 2**64: the hybrid's key residual * n + degree must
+    # order as the reference's (-residual, -degree) tuples on big ints
+    adj = build_conflict_graph(gen_complete(12)).masks
+    cases.append(([2**64 + rng.randint(-2, 2) for _ in adj], adj))
+    cases.append(([2**64 - 1] * len(adj), adj))
     for demands, adj in cases:
         for mode in (HWF, MDF, HWF_TIE_MDF):
             assert greedy_rounds(demands, adj, mode) == \

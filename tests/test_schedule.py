@@ -1,7 +1,13 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtrsched.bipartite import Bipartition, bipartition, two_phase_schedule
+from mtrsched.heuristics import hwf, hwf_tiebreak_mdf, mdf
+from mtrsched.model import (Instance, gen_complete, gen_demands, gen_grid,
+                            gen_random, gen_ring, load_instance, save_instance)
 from mtrsched.schedule import (Schedule, ScheduleEntry, ScheduleFormatError,
                                schedule_from_json, schedule_to_json)
 
@@ -82,3 +88,63 @@ def test_json_booleans_are_not_numbers(text, field):
 def test_malformed_documents_rejected(text):
     with pytest.raises(ScheduleFormatError):
         schedule_from_json(text)
+
+
+def _large_instances():
+    """The greedy-large classes beyond the golden corpus's 24 links, with
+    seeded asymmetric demands 1..10; ring 40 and the 8x8 grid are
+    bipartite, K12 and the random n=30, p=0.3 network are not."""
+    nets = (("ring40", gen_ring(40), True), ("grid8x8", gen_grid(8, 8), True),
+            ("K12", gen_complete(12), False),
+            ("random30", gen_random(30, 0.3, 5), False))
+    return [pytest.param(Instance(net, gen_demands(net, 1, 10, False, seed)),
+                         bip, id=name)
+            for seed, (name, net, bip) in enumerate(nets)]
+
+
+def _dumps(schedule):
+    return json.dumps({
+        "entries": [{"links": e.links, "slots": e.slots}
+                    for e in schedule.entries],
+        "total": schedule.total_slots,
+    })
+
+
+HUGE = 10**400 + 1
+
+
+@pytest.mark.parametrize("instance,bip", _large_instances())
+def test_large_schedules_encode_as_json_dumps(instance, bip):
+    scheds = [alg(instance) for alg in (hwf, mdf, hwf_tiebreak_mdf)]
+    parts = bipartition(instance.network)
+    assert isinstance(parts, Bipartition) == bip
+    if bip:
+        scheds.append(two_phase_schedule(instance, parts))
+    for sched in scheds:
+        huge = Schedule(tuple(ScheduleEntry(e.links, HUGE)
+                              for e in sched.entries))
+        for s in (sched, huge):
+            text = schedule_to_json(s)
+            assert text == _dumps(s)
+            assert schedule_from_json(text) == s
+
+
+@pytest.mark.parametrize("instance,bip", _large_instances())
+def test_large_instances_save_as_json_dumps(instance, bip):
+    net = instance.network
+    for inst in (instance, Instance(net, (HUGE,) * len(net.links))):
+        text = save_instance(inst)
+        assert text == json.dumps({
+            "nodes": net.node_count,
+            "edges": [[a, b] for a, b in net.edges],
+            "demands": [{"tx": tx, "rx": rx, "d": d}
+                        for (tx, rx), d in zip(net.links, inst.demands)],
+        })
+        assert load_instance(text) == inst
+
+
+def test_self_containing_links_raise_recursion_error():
+    links = [(1, 2)]
+    links.append(links)
+    with pytest.raises(RecursionError):
+        schedule_to_json(Schedule((ScheduleEntry(links, 1),)))
