@@ -9,18 +9,19 @@ in a solve that runs the LP, the rational simplex takes nearly all of the
 time, far more than enumeration or the greedy seeding (perfbench/
 measures the shares).
 
-Where branch-and-bound's root would only be pruned, the full root LP is
-not solved: its value, the only part of it such a root uses, is priced
-by column generation on the dual of the greedy seed's columns (Gilmore
-& Gomory 1961; Dantzig & Wolfe 1960), and the full LP runs only when
-that value rounds up below the incumbent.  An LP's optimal value is
-unique, so no answer, allocation or witness changes.
+Branch-and-bound's root ends in one of three ways, decided in one
+place: on the node bound of ``metrics.lower_bounds`` when the best
+greedy meets it; on the root LP's value, priced by column generation on
+the dual of the greedy seed's columns (Gilmore & Gomory 1961; Dantzig &
+Wolfe 1960), when that rounds up to the incumbent; else on its own full
+LP.  An LP's optimal value is unique, so no answer, allocation or
+witness changes.
 
 Seeding the incumbent stops at the first greedy whose total meets the
-node bound of ``metrics.lower_bounds``.  No schedule is shorter than
-that bound, so no later greedy could be a strict minimum, and the seed
-is the first of equal totals either way: it, the root skip and the
-witness are those of running all three.
+node bound.  No schedule is shorter than that bound, so no later greedy
+could be a strict minimum, and the seed is the first of equal totals
+either way: it, the root's outcome and the witness are those of running
+all three.
 
 The solvers stay on bitmasks from enumeration to witness and decode
 links or nodes only for the solution they return.
@@ -280,15 +281,16 @@ def solve_ilp(instance: Instance) -> IlpSolution:
     index on ties), exploring the rounded-up branch first.  A popped node
     whose parent's LP bound already reaches the incumbent is dropped
     before its LP is solved: a child only adds a bound row, so its LP can
-    be no lower and solving it could only end in the same prune.  The root
-    inherits the node bound of ``metrics.lower_bounds``, which no
-    fractional allocation undercuts, so when the best greedy already meets
-    it the root is dropped unsolved and its LP value is that bound.
-    Otherwise _priced_root first prices the root LP's value from the
-    seed's columns; when that value rounded up reaches the incumbent, the
-    root is dropped with it.  A root dropped either way would have been
-    pruned right after its LP solve, which leaves the incumbent as it is,
-    and the optimal value is the same whichever method finds it, so the
+    be no lower and solving it could only end in the same prune.
+
+    The root ends in one of three ways, decided in one expression: the
+    best greedy meets the node bound, which no fractional allocation
+    undercuts, so that bound is the root LP's value; or _priced_root
+    prices the value from the seed's columns and it rounds up to the
+    incumbent; or the root alone enters the search, which solves its LP.
+    A root ended either of the first two ways would have been pruned
+    right after its LP solve, which leaves the incumbent as it is, and
+    the optimal value is the same whichever method finds it, so the
     answer, allocation and witness are those of solving the root.  The
     search is fully deterministic, so repeated runs return the identical
     witness.
@@ -319,18 +321,14 @@ def solve_ilp(instance: Instance) -> IlpSolution:
                 ext |= 1 << v
         best_alloc[mask_index[ext]] += slots
 
-    root_lp = Fraction(node_bound)
+    # the root ends on the node bound, on its priced value, or on its LP
+    root_lp = (Fraction(node_bound) if best_total == node_bound
+               else _priced_root(masks, demands, best_alloc, best_total))
     # depth-first stack of (per-column (lo, hi) bound map, ceil of the
-    # parent's LP objective, or the node bound at the root); the entry
-    # pushed last is explored first, so push the floor branch before the
-    # ceil one
-    stack: list[tuple[dict[int, tuple[int, int | None]], int]] = [
-        ({}, node_bound)]
-    if node_bound < best_total:
-        priced = _priced_root(masks, demands, best_alloc, best_total)
-        if priced is not None:  # the root LP could only end in a prune
-            root_lp = priced
-            stack = []
+    # parent's LP objective); the entry pushed last is explored first, so
+    # push the floor branch before the ceil one
+    stack: list[tuple[dict[int, tuple[int, int | None]], int]] = (
+        [({}, 0)] if root_lp is None else [])
     while stack:
         bounds, lb = stack.pop()
         if lb >= best_total:  # a child's LP is never below its parent's

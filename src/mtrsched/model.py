@@ -309,9 +309,9 @@ def load_instance(text: str | bytes) -> Instance:
         link = (rec["tx"], rec["rx"])
         if type(link[0]) is not int or type(link[1]) is not int:
             raise InstanceFormatError(f"demand tx and rx must be integer node ids, got {link!r}")
-        if not network.has_link(link):
+        i = network._index.get(link)
+        if i is None:
             raise InstanceFormatError(f"demand given for nonexistent link {link}")
-        i = network.link_index(link)
         if i in demands:
             raise InstanceFormatError(f"duplicate demand record for link {link}")
         demands[i] = rec["d"]

@@ -530,3 +530,8 @@ def test_version_prints_package_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == f"mtrsched {mtrsched.__version__}"
+
+
+def test_kernel_backend_is_pure_python():
+    # the value perfbench records with every result
+    assert mtrsched.kernel_backend() == "pure-python"

@@ -33,6 +33,14 @@ def fr(rows):
     return [[F(x) for x in row] for row in rows]
 
 
+# Beale's 1955 cycling LP in >= form: the most-negative rule cycles with
+# period 6, so the simplex crosses its 40-pivot budget and Bland's rule
+# ends it
+BEALE = ([F(-3, 4), F(20), F(-1, 2), F(6)],
+         fr([[F(-1, 4), 8, 1, -9], [F(-1, 2), 12, F(1, 2), -3], [0, 0, -1, 0]]),
+         [F(0), F(0), F(-1)])
+
+
 def _rational_lp_corpus():
     """1,202 seeded rational LPs: infeasible ones, m = 0, duplicate rows,
     Beale's program (it cycles under the most-negative rule and needs the
@@ -169,6 +177,18 @@ class TestSimplex:
     def test_empty_program(self):
         assert _simplex_min_ge([], [], []) == (0, [])
 
+    def test_unbounded_program_raises(self):
+        # min -x st x >= 0: no covering LP is unbounded, so this is a bug
+        with pytest.raises(RuntimeError, match="unbounded"):
+            _simplex_min_ge([-1], [[1]], [0])
+
+    def test_bland_fallback_ends_beale_cycle(self):
+        # the budget is 3*(columns+m)+10 = 40 pivots here (4 structural,
+        # 3 surplus, no artificials; 3 rows)
+        result, pivots = _pivot_calls(_simplex_min_ge, *BEALE)
+        assert len(pivots) > 40
+        assert result == (F(-5, 4), [F(1), F(0), F(1), F(0)])
+
     def test_matches_reference_on_random_rational_lps(self):
         # the Fraction simplex as it stood before the one-tableau rewrite
         # makes the same decisions, so (objective, x) and infeasibility
@@ -187,7 +207,7 @@ class TestSimplex:
         # pivot (row, column) of both simplex copies.  The degenerate
         # family leaves several artificials basic at zero after phase 1
         for cost, rows, rhs in (_rational_lp_corpus()
-                                + _degenerate_covering_family()):
+                                + _degenerate_covering_family() + [BEALE]):
             got, got_pivots = _pivot_calls(_simplex_min_ge, cost, rows, rhs)
             want, want_pivots = _pivot_calls(reference_simplex, cost, rows, rhs)
             assert got == want

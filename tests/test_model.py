@@ -19,6 +19,8 @@ class TestNetwork:
                              (3, 1), (3, 2), (3, 4), (4, 3))
         assert all(net.links[i] < net.links[i + 1]
                    for i in range(len(net.links) - 1))
+        assert repr(Network(3, [(2, 3), (1, 2)])) == \
+            "Network(node_count=3, edges=[(1, 2), (2, 3)])"
 
     def test_link_index_roundtrip(self):
         net = Network(3, [(1, 2), (2, 3)])
